@@ -15,14 +15,14 @@ from .dgp import (DgpConfig, InnovationSpec, SimulatedPanel, innovation_scale,
 from .errors import DataError, DimensionError, NumericalError, ResourceError
 from .factors import FactorFit, estimate_factors, select_num_factors
 from .harness import Experiment, ResultRow, power_figure_data, replication_seed, run
-from .lrv import LrvConfig, LrvSet, autocovariances, estimate_lrv_set, kernel_lrv
+from .lrv import LrvConfig, LrvSet, estimate_lrv_set
 from .oracle import (OracleNuisance, delta_mp_exact, delta_mp_smw, delta_panic_exact,
                      delta_simplified, delta_star, innovation_covariance,
                      lan_convergence_report, psi_epsilon_inverse)
-from .panel import DiffPanel, Panel, Series, apply_cumsum, cumsum_matrix, difference
-from .statistics import (PrecisionMatrix, TestOutcome, UmpIntermediates, bn_statistics,
-                         bn_tests, mp_tests, panic_idiosyncratic, precision_matrix,
-                         t_ump, t_ump_emp, ump_statistics, ump_statistics_naive)
+from .panel import DiffPanel, Panel, difference, lagged_cumsum
+from .statistics import (Analysis, PrecisionMatrix, TestOutcome, UmpIntermediates, analyze,
+                         bn_statistics, bn_tests, mp_tests, precision_matrix, t_ump,
+                         t_ump_emp, ump_statistics)
 
 __all__ = [
     "FISHER_INFORMATION", "PowerCurve", "emit_power_curve", "local_power_mp_bn",
@@ -32,12 +32,12 @@ __all__ = [
     "DataError", "DimensionError", "NumericalError", "ResourceError",
     "FactorFit", "estimate_factors", "select_num_factors",
     "Experiment", "ResultRow", "power_figure_data", "replication_seed", "run",
-    "LrvConfig", "LrvSet", "autocovariances", "estimate_lrv_set", "kernel_lrv",
+    "LrvConfig", "LrvSet", "estimate_lrv_set",
     "OracleNuisance", "delta_mp_exact", "delta_mp_smw", "delta_panic_exact",
     "delta_simplified", "delta_star", "innovation_covariance",
     "lan_convergence_report", "psi_epsilon_inverse",
-    "DiffPanel", "Panel", "Series", "apply_cumsum", "cumsum_matrix", "difference",
-    "PrecisionMatrix", "TestOutcome", "UmpIntermediates", "bn_statistics", "bn_tests",
-    "mp_tests", "panic_idiosyncratic", "precision_matrix", "t_ump", "t_ump_emp",
-    "ump_statistics", "ump_statistics_naive",
+    "DiffPanel", "Panel", "difference", "lagged_cumsum",
+    "Analysis", "PrecisionMatrix", "TestOutcome", "UmpIntermediates", "analyze",
+    "bn_statistics", "bn_tests", "mp_tests", "precision_matrix", "t_ump", "t_ump_emp",
+    "ump_statistics",
 ]

@@ -18,12 +18,11 @@ from . import __version__
 from .asymptotics import emit_power_curve
 from .dgp import DgpConfig, InnovationSpec, simulate
 from .errors import DataError, NumericalError
-from .factors import estimate_factors, select_num_factors
 from .harness import Experiment, RESULT_COLUMNS, run, WORKERS_ENV_VAR
-from .lrv import LrvConfig, estimate_lrv_set
+from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
-from .panel import Panel, difference
-from .statistics import TEST_NAMES, bn_tests, mp_tests, precision_matrix, t_ump, t_ump_emp
+from .panel import Panel
+from .statistics import TEST_NAMES, analyze
 
 __all__ = ["main", "load_panel_csv", "write_panel_csv"]
 
@@ -108,26 +107,13 @@ def _lrv_config(args) -> LrvConfig:
 
 def _cmd_test(args) -> int:
     panel = load_panel_csv(args.panel)
-    d = difference(panel)
     cfg = _lrv_config(args)
-    if args.k is not None:
-        k = args.k
-    else:
-        k = select_num_factors(d, min(args.kmax, min(d.values.shape)))
-    fit = estimate_factors(d, k)
-    lrvs = estimate_lrv_set(fit.residuals, cfg)
-    loadings = fit.loadings_hat if k > 0 else None
-    psi = precision_matrix(lrvs, loadings)
-    outcomes = [
-        t_ump(d, psi, lrvs, args.alpha),
-        t_ump_emp(d, psi, lrvs, args.alpha),
-        *bn_tests(fit, lrvs, args.alpha),
-        *mp_tests(panel, loadings, lrvs, args.alpha),
-    ]
+    result = analyze(panel, k=args.k, k_max=args.kmax, lrv_cfg=cfg, alpha=args.alpha)
+    lrvs = result.lrvs
     payload = {
         "n": panel.n_units,
         "T": panel.n_periods,
-        "k": k,
+        "k": result.k,
         "alpha": args.alpha,
         "kernel": cfg.kernel,
         "bandwidth": args.bandwidth,
@@ -137,19 +123,19 @@ def _cmd_test(args) -> int:
         "pooled": {"omega2": lrvs.pooled_omega2, "phi4": lrvs.pooled_phi4,
                    "delta": lrvs.pooled_delta},
         "tests": {
-            o.name: {"statistic": o.statistic, "p_value": o.p_value, "reject": o.reject}
-            for o in outcomes
+            name: {"statistic": o.statistic, "p_value": o.p_value, "reject": o.reject}
+            for name, o in result.outcomes.items()
         },
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"panel: n={payload['n']} T={payload['T']}  factors: {k}")
+    print(f"panel: n={payload['n']} T={payload['T']}  factors: {result.k}")
     print(f"lrv: kernel={cfg.kernel} bandwidth={args.bandwidth} prewhiten={cfg.prewhiten}")
     print(f"pooled omega^2={payload['pooled']['omega2']:.6g} "
           f"phi^4={payload['pooled']['phi4']:.6g} delta={payload['pooled']['delta']:.6g}")
     print(f"{'test':<10} {'statistic':>12} {'p-value':>10}  reject at {args.alpha:g}")
-    for o in outcomes:
+    for o in result.outcomes.values():
         print(f"{o.name:<10} {o.statistic:>12.6f} {o.p_value:>10.6f}  {'yes' if o.reject else 'no'}")
     return 0
 
@@ -355,12 +341,13 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it must be caught first.
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except (DataError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,10 +20,8 @@ import numpy as np
 from .asymptotics import local_power_mp_bn, power_envelope
 from .dgp import DgpConfig, InnovationSpec, simulate
 from .errors import DataError
-from .factors import estimate_factors, select_num_factors
-from .lrv import LrvConfig, estimate_lrv_set
-from .panel import difference
-from .statistics import TEST_NAMES, bn_tests, mp_tests, precision_matrix, t_ump, t_ump_emp
+from .lrv import LrvConfig
+from .statistics import TEST_NAMES, analyze
 
 __all__ = ["Experiment", "ResultRow", "run", "power_figure_data", "replication_seed",
            "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
@@ -67,6 +65,8 @@ class Experiment:
         object.__setattr__(self, "tests", tuple(self.tests))
         if self.replications < 1:
             raise DataError("need at least one replication")
+        if not 0.0 < self.alpha < 1.0:
+            raise DataError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         for grid in ("frameworks", "sizes", "ratios", "innovations",
                      "distributions", "h_values", "tests"):
             if not getattr(self, grid):
@@ -139,39 +139,14 @@ def _cell_config(exp: Experiment, cell: tuple, rep: int) -> DgpConfig:
 
 
 def run_single(exp: Experiment, cell: tuple, rep: int) -> dict[str, bool]:
-    """One full pipeline pass: simulate, fit factors, estimate LRVs, test.
+    """One full pipeline pass: simulate, then analyze.
 
-    Returns rejection flags per requested test.
+    All six statistics are computed; returns rejection flags per requested test.
     """
     sim = simulate(_cell_config(exp, cell, rep))
-    d = difference(sim.panel)
-    if exp.k_known:
-        k = exp.k
-    else:
-        k = select_num_factors(d, min(exp.k_max, min(d.values.shape)))
-    fit = estimate_factors(d, k)
-    lrvs = estimate_lrv_set(fit.residuals, exp.lrv_cfg)
-    out: dict[str, bool] = {}
-    wanted = set(exp.tests)
-    if wanted & {"t_ump", "t_ump_emp"}:
-        psi = precision_matrix(lrvs, fit.loadings_hat if k > 0 else None)
-        if "t_ump" in wanted:
-            out["t_ump"] = t_ump(d, psi, lrvs, exp.alpha).reject
-        if "t_ump_emp" in wanted:
-            out["t_ump_emp"] = t_ump_emp(d, psi, lrvs, exp.alpha).reject
-    if wanted & {"p_a", "p_b"}:
-        p_a, p_b = bn_tests(fit, lrvs, exp.alpha)
-        if "p_a" in wanted:
-            out["p_a"] = p_a.reject
-        if "p_b" in wanted:
-            out["p_b"] = p_b.reject
-    if wanted & {"t_a", "t_b"}:
-        t_a, t_b = mp_tests(sim.panel, fit.loadings_hat if k > 0 else None, lrvs, exp.alpha)
-        if "t_a" in wanted:
-            out["t_a"] = t_a.reject
-        if "t_b" in wanted:
-            out["t_b"] = t_b.reject
-    return out
+    result = analyze(sim.panel, k=exp.k if exp.k_known else None, k_max=exp.k_max,
+                     lrv_cfg=exp.lrv_cfg, alpha=exp.alpha)
+    return {name: result.outcomes[name].reject for name in exp.tests}
 
 
 def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):

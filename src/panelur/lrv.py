@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .panel import DiffPanel, Series
+from .panel import DiffPanel
 
-__all__ = ["LrvConfig", "LrvSet", "autocovariances", "kernel_lrv", "estimate_lrv_set"]
+__all__ = ["LrvConfig", "LrvSet", "estimate_lrv_set"]
 
 _KERNELS = ("bartlett", "quadratic_spectral")
 _BANDWIDTH_RULES = ("andrews", "newey_west", "fixed")
@@ -76,18 +76,6 @@ class LrvSet:
     @property
     def pooled_delta(self) -> float:
         return float(np.mean(self.delta))
-
-
-def autocovariances(s: Series, max_lag: int) -> np.ndarray:
-    """Sample autocovariances gamma(0..max_lag) without mean removal.
-
-    gamma(m) = (1/T) sum_{t=1}^{T-m} s_t s_{t+m}; inputs are differenced
-    residuals, whose population mean is zero.
-    """
-    x = s.data
-    if max_lag < 0 or max_lag >= x.size:
-        raise DataError(f"max_lag={max_lag} must lie in 0..T-1 for T={x.size}")
-    return _batch_autocov(x[None, :], max_lag)[0]
 
 
 def _batch_autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -266,12 +254,6 @@ def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.nda
     omega2 = np.maximum(omega2, _OMEGA_FLOOR)
     delta = 0.5 * (omega2 - gamma0)
     return omega2, delta, gamma0
-
-
-def kernel_lrv(s: Series, cfg: LrvConfig) -> tuple[float, float, float]:
-    """(omega^2, delta, gamma(0)) estimates for one series."""
-    omega2, delta, gamma0 = _batch_kernel_lrv(s.data[None, :], cfg)
-    return float(omega2[0]), float(delta[0]), float(gamma0[0])
 
 
 def estimate_lrv_set(residuals: DiffPanel, cfg: LrvConfig) -> LrvSet:

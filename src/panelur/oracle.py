@@ -22,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .dgp import InnovationSpec, innovation_scale, lognormal_heterogeneity_params
 from .errors import DataError, DimensionError, NumericalError, ResourceError
-from .panel import DiffPanel
+from .panel import DiffPanel, lagged_cumsum
 
 __all__ = [
     "OracleNuisance",
@@ -127,13 +127,6 @@ def _check_dims(d: DiffPanel, nu: OracleNuisance) -> tuple[int, int]:
     return n, t
 
 
-def _lagged_cumsum_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise application of the cumulative-sum operator (zero start)."""
-    out = np.zeros_like(x)
-    np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
-    return out
-
-
 def _correction(nu: OracleNuisance) -> float:
     return float(np.sum(nu.oslrv_eta / nu.lrv_eta)) / math.sqrt(nu.n_units)
 
@@ -141,7 +134,7 @@ def _correction(nu: OracleNuisance) -> float:
 def delta_panic_exact(d: DiffPanel, nu: OracleNuisance) -> tuple[float, float]:
     """Exact central sequence and information with the true innovation covariances."""
     n, t = _check_dims(d, nu)
-    w = _lagged_cumsum_rows(d.values)
+    w = lagged_cumsum(d.values)
     delta = 0.0
     info = 0.0
     for i in range(n):
@@ -159,7 +152,7 @@ def delta_simplified(d: DiffPanel, nu: OracleNuisance) -> float:
     n, t = _check_dims(d, nu)
     if np.any(nu.lrv_eta <= 0.0):
         raise NumericalError("nonpositive approximate long-run variance")
-    w = _lagged_cumsum_rows(d.values)
+    w = lagged_cumsum(d.values)
     quad = float(np.sum(w * d.values / nu.lrv_eta[:, None]))
     return quad / (math.sqrt(n) * t) - _correction(nu)
 
@@ -185,7 +178,7 @@ def delta_mp_exact(d: DiffPanel, nu: OracleNuisance) -> tuple[float, float]:
         raise ResourceError(f"nT = {n * t} exceeds the dense guard {_DENSE_GUARD}")
     sigma = _sigma_epsilon_dense(nu)
     x = d.values.reshape(-1)
-    w = _lagged_cumsum_rows(d.values).reshape(-1)
+    w = lagged_cumsum(d.values).reshape(-1)
     try:
         solved = np.linalg.solve(sigma, np.column_stack([x, w]))
     except np.linalg.LinAlgError as exc:
@@ -226,7 +219,7 @@ def psi_epsilon_inverse(nu: OracleNuisance, method: str = "smw") -> np.ndarray:
 
 def _cross_section_quadratic(d: DiffPanel, m: np.ndarray) -> float:
     """Quadratic form sum_{i,j} m_ij (A x_i)' x_j for a Kronecker factor m."""
-    w = _lagged_cumsum_rows(d.values)
+    w = lagged_cumsum(d.values)
     return float(np.sum(m * (w @ d.values.T)))
 
 
@@ -386,7 +379,7 @@ def lan_convergence_report(sizes, seeds: int, base_seed: int = 0, ratio: float =
             de = eta  # under the null the idiosyncratic differences are the innovations
             dy = loadings @ f_innov + eta
 
-            w_e = _lagged_cumsum_rows(de)
+            w_e = lagged_cumsum(de)
             solved = cho_solve(solver.chol0, de.T) / scales[None, :]
             samples["delta_panic"][rep] = float(np.sum(w_e.T * solved)) / (math.sqrt(n) * t)
             solved_w = cho_solve(solver.chol0, w_e.T) / scales[None, :]
@@ -394,7 +387,7 @@ def lan_convergence_report(sizes, seeds: int, base_seed: int = 0, ratio: float =
             samples["delta_simplified"][rep] = (
                 float(np.sum(w_e * de * inv_omega[:, None])) / (math.sqrt(n) * t) - correction)
 
-            w_y = _lagged_cumsum_rows(dy)
+            w_y = lagged_cumsum(dy)
             quad, info = solver.quad_pair(w_y.T, dy.T)
             samples["delta_mp"][rep] = quad / (math.sqrt(n) * t)
             samples["j_mp"][rep] = info / (n * t * t)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 
-__all__ = ["Panel", "DiffPanel", "Series", "difference", "cumsum_matrix", "apply_cumsum"]
+__all__ = ["Panel", "DiffPanel", "difference", "lagged_cumsum"]
 
 
 def _as_float_matrix(values, what: str) -> np.ndarray:
@@ -83,25 +83,6 @@ class DiffPanel:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class Series:
-    """A single observed time series."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DimensionError("series must be 1-d and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("series contains non-finite entries")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    def __len__(self) -> int:
-        return self.data.size
-
-
 def difference(p: Panel) -> DiffPanel:
     """First-difference a panel along time: out[i, t] = p[i, t+1] - p[i, t]."""
     if p.n_periods < 2:
@@ -109,25 +90,12 @@ def difference(p: Panel) -> DiffPanel:
     return DiffPanel(np.diff(p.values, axis=1))
 
 
-def cumsum_matrix(t: int) -> np.ndarray:
-    """The T x T strictly lower-triangular matrix of ones.
+def lagged_cumsum(x: np.ndarray) -> np.ndarray:
+    """Lagged partial sums along the last axis: out[..., t] = sum_{s < t} x[..., s].
 
-    Premultiplying a difference vector by it produces lagged partial sums
-    (zero starting values). Satisfies A + A' = ones - I.
+    The first column is zero (zero starting value). Row by row this is the
+    strictly lower-triangular matrix of ones applied to the row.
     """
-    if t < 1:
-        raise DimensionError("cumsum_matrix needs T >= 1")
-    return np.tril(np.ones((t, t)), k=-1)
-
-
-def apply_cumsum(d: DiffPanel) -> Panel:
-    """Lagged cumulative sums per unit: out[i, t] = sum_{s < t} d[i, s].
-
-    Column 1 of the output is zero; equivalent to right-multiplying by the
-    transpose of cumsum_matrix(T).
-    """
-    vals = d.values
-    out = np.empty_like(vals)
-    out[:, 0] = 0.0
-    np.cumsum(vals[:, :-1], axis=1, out=out[:, 1:])
-    return Panel(out)
+    out = np.zeros_like(x)
+    np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
+    return out

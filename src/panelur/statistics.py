@@ -5,7 +5,8 @@ their time dimension, exclude the first difference column from the pooled
 index sets, and reject in the left tail of the standard normal. Those three
 conventions are applied consistently across the optimal statistics and the
 pooled-autoregression tests, which is what makes the homogeneous-variance
-reduction of the optimal test to P_b exact in finite samples.
+reduction of the optimal test to P_b exact in finite samples. `analyze`
+runs the whole recipe on a level panel and returns all six outcomes.
 """
 
 from __future__ import annotations
@@ -16,21 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DimensionError, NumericalError
-from .factors import FactorFit
-from .lrv import LrvSet
-from .panel import DiffPanel, Panel
+from .errors import DataError, DimensionError, NumericalError
+from .factors import FactorFit, estimate_factors, select_num_factors
+from .lrv import LrvConfig, LrvSet, estimate_lrv_set
+from .panel import DiffPanel, Panel, difference, lagged_cumsum
 
 __all__ = [
+    "Analysis",
     "PrecisionMatrix",
     "TestOutcome",
     "UmpIntermediates",
+    "analyze",
     "precision_matrix",
     "ump_statistics",
-    "ump_statistics_naive",
     "t_ump",
     "t_ump_emp",
-    "panic_idiosyncratic",
     "bn_statistics",
     "bn_tests",
     "mp_tests",
@@ -124,9 +125,7 @@ def ump_statistics(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet) -> UmpInter
     n, tp = x.shape
     used = _used_columns(x)
     psi_m = psi.matrix
-    # Lagged cumulative sums over the used columns: R_t = sum of earlier ones.
-    lagged = np.zeros_like(used)
-    np.cumsum(used[:, :-1], axis=1, out=lagged[:, 1:])
+    lagged = lagged_cumsum(used)
     quad = float(np.sum(lagged * (psi_m @ used)))
     jquad = float(np.sum(lagged * (psi_m @ lagged)))
     correction = float(np.sum(lrvs.delta / lrvs.omega2)) / math.sqrt(n)
@@ -135,54 +134,16 @@ def ump_statistics(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet) -> UmpInter
     return UmpIntermediates(delta_hat=delta_hat, j_hat=j_hat, correction=correction)
 
 
-def ump_statistics_naive(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet) -> UmpIntermediates:
-    """Literal double-loop evaluation of the pooled sums; oracle for the fast path."""
-    x = d.values
-    n, tp = x.shape
-    if tp < 2:
-        raise DimensionError("need at least two difference columns")
-    psi_m = psi.matrix
-    quad = 0.0
-    jquad = 0.0
-    for t in range(1, tp):
-        inner = np.zeros(n)
-        for s in range(1, t):
-            inner += x[:, s]
-            quad += float(x[:, s] @ psi_m @ x[:, t])
-        jquad += float(inner @ psi_m @ inner)
-    correction = float(np.sum(lrvs.delta / lrvs.omega2)) / math.sqrt(n)
-    return UmpIntermediates(
-        delta_hat=quad / (math.sqrt(n) * tp) - correction,
-        j_hat=jquad / (n * tp * tp),
-        correction=correction,
-    )
-
-
-def t_ump(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet, alpha: float = 0.05) -> TestOutcome:
+def t_ump(inter: UmpIntermediates, alpha: float = 0.05) -> TestOutcome:
     """The optimal test: sqrt(2) times the central sequence, compared to N(0, 1)."""
-    inter = ump_statistics(d, psi, lrvs)
     return _outcome("t_ump", math.sqrt(2.0) * inter.delta_hat, alpha)
 
 
-def t_ump_emp(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet, alpha: float = 0.05) -> TestOutcome:
+def t_ump_emp(inter: UmpIntermediates, alpha: float = 0.05) -> TestOutcome:
     """The studentized variant: central sequence over the root of the empirical information."""
-    inter = ump_statistics(d, psi, lrvs)
     if inter.j_hat <= 0.0:
         raise NumericalError("empirical information is zero; data too short or degenerate")
     return _outcome("t_ump_emp", inter.delta_hat / math.sqrt(inter.j_hat), alpha)
-
-
-def panic_idiosyncratic(fit: FactorFit) -> tuple[Panel, Panel]:
-    """Cumulated idiosyncratic paths from factor residuals.
-
-    Returns (lagged, current): lagged[i, t] = sum of residuals before t
-    (zero start), current = lagged + residual. Differencing `current`
-    recovers the residuals exactly.
-    """
-    resid = fit.residuals.values
-    lagged = np.zeros_like(resid)
-    np.cumsum(resid[:, :-1], axis=1, out=lagged[:, 1:])
-    return Panel(lagged), Panel(lagged + resid)
 
 
 def bn_statistics(e_lag: np.ndarray, e_cur: np.ndarray, lrvs: LrvSet,
@@ -219,8 +180,7 @@ def bn_tests(fit: FactorFit, lrvs: LrvSet, alpha: float = 0.05) -> tuple[TestOut
     resid = fit.residuals.values
     tp = resid.shape[1]
     used = _used_columns(resid)
-    lagged = np.zeros_like(used)
-    np.cumsum(used[:, :-1], axis=1, out=lagged[:, 1:])
+    lagged = lagged_cumsum(used)
     current = lagged + used
     return bn_statistics(lagged, current, lrvs, t_dim=tp, alpha=alpha)
 
@@ -259,3 +219,42 @@ def mp_tests(p: Panel, loadings: np.ndarray | None, lrvs: LrvSet,
     t_a = scale / math.sqrt(2.0 * phi4 / omega2 ** 2)
     t_b = scale * math.sqrt(denom / (n * t_dim * t_dim) * omega2 / phi4)
     return _outcome("t_a", t_a, alpha), _outcome("t_b", t_b, alpha)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pass of the testing recipe: the fit, the LRVs and all six outcomes.
+
+    outcomes is keyed by test name in TEST_NAMES order.
+    """
+
+    k: int
+    fit: FactorFit
+    lrvs: LrvSet
+    ump: UmpIntermediates
+    outcomes: dict[str, TestOutcome]
+
+
+def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
+            lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> Analysis:
+    """Difference, fit factors, estimate LRVs and compute the six tests.
+
+    With k None the factor count is selected by IC_p2 over
+    0..min(k_max, n, T'). A unit whose differences are all zero is rejected
+    up front: its long-run variance would be zero.
+    """
+    d = difference(panel)
+    constant = np.flatnonzero(~d.values.any(axis=1))
+    if constant.size:
+        units = ", ".join(repr(panel.unit_ids[i]) for i in constant)
+        raise DataError(f"constant unit(s) {units}: all first differences are zero, "
+                        "so the long-run variance is zero")
+    if k is None:
+        k = select_num_factors(d, min(k_max, min(d.values.shape)))
+    fit = estimate_factors(d, k)
+    lrvs = estimate_lrv_set(fit.residuals, lrv_cfg)
+    ump = ump_statistics(d, precision_matrix(lrvs, fit.loadings_hat), lrvs)
+    ordered = (t_ump(ump, alpha), t_ump_emp(ump, alpha), *bn_tests(fit, lrvs, alpha),
+               *mp_tests(panel, fit.loadings_hat, lrvs, alpha))
+    return Analysis(k=k, fit=fit, lrvs=lrvs, ump=ump,
+                    outcomes={o.name: o for o in ordered})

@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cumsum_matrix, ump_statistics_naive
 from panelur import (DgpConfig, DiffPanel, Experiment, LrvConfig, LrvSet,
                      OracleNuisance, Panel, bn_tests, delta_panic_exact, difference,
                      estimate_factors, innovation_covariance, lan_convergence_report,
                      local_power_mp_bn, mp_tests, power_envelope, precision_matrix,
                      psi_epsilon_inverse, run, simulate, t_ump, t_ump_emp,
-                     ump_statistics, ump_statistics_naive)
-from panelur.panel import cumsum_matrix
+                     ump_statistics)
 from scipy.linalg import block_diag
 
 ACCEPTANCE_CELL = dict(sizes=((50, 100),), ratios=(0.8,), innovations=("iid",),
@@ -101,7 +101,7 @@ def test_criterion_5_homogeneous_reduction():
                       delta=np.full(n, 0.3 * rng.standard_normal()),
                       gamma0=np.ones(n))
         psi = precision_matrix(lrvs, fit.loadings_hat)
-        emp = t_ump_emp(d, psi, lrvs).statistic
+        emp = t_ump_emp(ump_statistics(d, psi, lrvs)).statistic
         _, p_b = bn_tests(fit, lrvs)
         worst = max(worst, abs(emp - p_b.statistic))
     _report(5, worst < 1e-8,
@@ -124,8 +124,8 @@ def test_criterion_6_invariance_suite():
                       gamma0=np.ones(n))
         psi = precision_matrix(lrvs, fit.loadings_hat)
         base = {
-            "t_ump": t_ump(d, psi, lrvs).statistic,
-            "t_ump_emp": t_ump_emp(d, psi, lrvs).statistic,
+            "t_ump": t_ump(ump_statistics(d, psi, lrvs)).statistic,
+            "t_ump_emp": t_ump_emp(ump_statistics(d, psi, lrvs)).statistic,
         }
         base["p_a"], base["p_b"] = (o.statistic for o in bn_tests(fit, lrvs))
 
@@ -134,8 +134,8 @@ def test_criterion_6_invariance_suite():
         fit2 = estimate_factors(d2, k)
         psi2 = precision_matrix(lrvs, fit2.loadings_hat)
         moved = {
-            "t_ump": t_ump(d2, psi2, lrvs).statistic,
-            "t_ump_emp": t_ump_emp(d2, psi2, lrvs).statistic,
+            "t_ump": t_ump(ump_statistics(d2, psi2, lrvs)).statistic,
+            "t_ump_emp": t_ump_emp(ump_statistics(d2, psi2, lrvs)).statistic,
         }
         moved["p_a"], moved["p_b"] = (o.statistic for o in bn_tests(fit2, lrvs))
         worst_shift = max(worst_shift, max(abs(moved[x] - base[x]) for x in base))
@@ -144,8 +144,8 @@ def test_criterion_6_invariance_suite():
         psi_rot = precision_matrix(lrvs, fit.loadings_hat @ rotation)
         worst_rot = max(
             worst_rot,
-            abs(t_ump(d, psi_rot, lrvs).statistic - base["t_ump"]),
-            abs(t_ump_emp(d, psi_rot, lrvs).statistic - base["t_ump_emp"]),
+            abs(t_ump(ump_statistics(d, psi_rot, lrvs)).statistic - base["t_ump"]),
+            abs(t_ump_emp(ump_statistics(d, psi_rot, lrvs)).statistic - base["t_ump_emp"]),
             np.abs(psi_rot.matrix - psi.matrix).max(),
             max(abs(a.statistic - b.statistic) for a, b in
                 zip(mp_tests(sim.panel, fit.loadings_hat @ rotation, lrvs),
@@ -228,7 +228,7 @@ def test_criterion_9_null_calibration():
         d = difference(sim.panel)
         lrvs = LrvSet(omega2=sim.true_lrvs, delta=np.zeros(n), gamma0=sim.true_lrvs)
         psi = precision_matrix(lrvs, sim.true_loadings)
-        stats[rep] = t_ump(d, psi, lrvs).statistic
+        stats[rep] = t_ump(ump_statistics(d, psi, lrvs)).statistic
     mean, var = float(stats.mean()), float(stats.var())
     ok = -0.1 <= mean <= 0.1 and 0.85 <= var <= 1.15
     _report(9, ok,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from panelur import DgpConfig, analyze, simulate, statistics
 from panelur.cli import load_panel_csv, main, write_panel_csv
 from panelur.errors import DataError
 from panelur.panel import Panel
@@ -132,6 +133,19 @@ class TestSimulateAndTest:
             assert moved["tests"][name]["statistic"] == pytest.approx(
                 base["tests"][name]["statistic"], abs=1e-8)
 
+    def test_reports_the_statistics_of_analyze(self, tmp_path):
+        panel = simulate(DgpConfig(framework="PANIC", n=20, T=60, K=1, lrv_ratio=0.8,
+                                   seed=9)).panel
+        out = tmp_path / "panel.csv"
+        write_panel_csv(out, panel)
+        payload = _run_test_json(out, "--k", "1")
+        expected = analyze(panel, k=1).outcomes
+        assert list(payload["tests"]) == list(expected)
+        for name, rec in payload["tests"].items():
+            assert rec["statistic"] == expected[name].statistic
+            assert rec["p_value"] == expected[name].p_value
+            assert rec["reject"] == expected[name].reject
+
     def test_human_output_matches_json(self, tmp_path, sim_config, capsys):
         out = tmp_path / "panel.csv"
         main(["simulate", str(sim_config), str(out)])
@@ -208,6 +222,29 @@ class TestSelftestCommand:
 
 
 class TestExitCodes:
+    @pytest.fixture()
+    def constant_unit_csv(self, tmp_path):
+        values = np.random.default_rng(8).standard_normal((10, 60)).cumsum(axis=1)
+        values[3] = 2.5
+        path = tmp_path / "constant.csv"
+        write_panel_csv(path, Panel(values, unit_ids=tuple(f"u{i}" for i in range(10))))
+        return path
+
+    @pytest.mark.parametrize("extra", [(), ("--k", "1")], ids=["k_selected", "k_fixed"])
+    def test_constant_unit_named(self, constant_unit_csv, capsys, extra):
+        assert main(["test", str(constant_unit_csv), *extra]) == 2
+        assert "'u3'" in capsys.readouterr().err
+
+    def test_linalg_error_is_numerical(self, tmp_path, sim_config, monkeypatch):
+        out = tmp_path / "panel.csv"
+        main(["simulate", str(sim_config), str(out)])
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(statistics, "estimate_lrv_set", singular)
+        assert main(["test", str(out), "--k", "1"]) == 3
+
     def test_missing_file(self, capsys):
         assert main(["test", "/nonexistent/panel.csv"]) == 2
 

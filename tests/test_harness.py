@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from panelur import DataError, Experiment, LrvConfig, power_figure_data, replication_seed, run
-from panelur.harness import RESULT_COLUMNS
+from panelur import (DataError, Experiment, LrvConfig, analyze, power_figure_data,
+                     replication_seed, run, simulate, statistics)
+from panelur.harness import RESULT_COLUMNS, _cell_config, run_single
 
 
 def _experiment(**kw):
@@ -79,6 +80,33 @@ class TestRun:
             _experiment(h_values=())
         with pytest.raises(DataError):
             _experiment(replications=0)
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(DataError):
+                _experiment(alpha=alpha)
+
+
+class TestRunSingle:
+    def test_matches_analyze(self):
+        exp = _experiment(h_values=(-5.0,), k_known=False, tests=("t_ump_emp", "t_b"))
+        cell = exp.cells()[0]
+        for rep in range(3):
+            sim = simulate(_cell_config(exp, cell, rep))
+            result = analyze(sim.panel, k_max=exp.k_max, lrv_cfg=exp.lrv_cfg)
+            assert run_single(exp, cell, rep) == {
+                name: result.outcomes[name].reject for name in exp.tests}
+
+    def test_one_ump_statistics_call(self, monkeypatch):
+        calls = []
+        original = statistics.ump_statistics
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(statistics, "ump_statistics", counted)
+        exp = _experiment()
+        run_single(exp, exp.cells()[0], 0)
+        assert len(calls) == 1
 
 
 class TestPowerFigureData:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from oracles import cumsum_matrix
 from panelur import (DataError, DiffPanel, OracleNuisance, ResourceError,
                      delta_mp_exact, delta_mp_smw, delta_panic_exact, delta_simplified,
                      delta_star, innovation_covariance, lan_convergence_report,
                      psi_epsilon_inverse)
 from panelur.oracle import REPORT_COLUMNS, _ScaledCellSolver
-from panelur.panel import cumsum_matrix
 
 
 def _white_nuisance(n, t):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ump_statistics_naive
 from panelur import (DgpConfig, DiffPanel, LrvConfig, LrvSet, NumericalError, Panel,
-                     PrecisionMatrix, bn_statistics, bn_tests, difference,
-                     estimate_factors, estimate_lrv_set, mp_tests, panic_idiosyncratic,
-                     precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics,
-                     ump_statistics_naive)
+                     PrecisionMatrix, analyze, bn_statistics, bn_tests, difference,
+                     estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
+                     precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
+from panelur.statistics import TEST_NAMES
 
 
 def _lrvs(omega2, delta=None, gamma0=None):
@@ -98,19 +99,20 @@ class TestUmpOutcomes:
         self.d = DiffPanel(np.array([[-7.0, 1.0, 2.0, 3.0]]))
         self.psi = PrecisionMatrix(matrix=np.array([[1.0]]), k=0)
         self.lrvs = _lrvs([1.0])
+        self.inter = ump_statistics(self.d, self.psi, self.lrvs)
 
     def test_t_ump_value(self):
-        out = t_ump(self.d, self.psi, self.lrvs)
+        out = t_ump(self.inter)
         assert out.statistic == pytest.approx(3.8891, abs=1e-4)
         assert not out.reject
 
     def test_t_ump_emp_value(self):
-        out = t_ump_emp(self.d, self.psi, self.lrvs)
+        out = t_ump_emp(self.inter)
         assert out.statistic == pytest.approx(3.4785, abs=1e-4)
 
     def test_zero_statistic_semantics(self):
         d = DiffPanel(np.zeros((1, 6)))
-        out = t_ump(d, self.psi, _lrvs([1.0]))
+        out = t_ump(ump_statistics(d, self.psi, _lrvs([1.0])))
         assert out.statistic == 0.0
         assert out.p_value == pytest.approx(0.5)
         assert not out.reject
@@ -118,35 +120,37 @@ class TestUmpOutcomes:
     def test_degenerate_information(self):
         d = DiffPanel(np.zeros((1, 6)))
         with pytest.raises(NumericalError):
-            t_ump_emp(d, self.psi, _lrvs([1.0]))
+            t_ump_emp(ump_statistics(d, self.psi, _lrvs([1.0])))
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_outcome_semantics(self, alpha):
         from scipy.special import ndtr, ndtri
-        out = t_ump(self.d, self.psi, self.lrvs, alpha=alpha)
+        out = t_ump(self.inter, alpha=alpha)
         assert out.p_value == pytest.approx(float(ndtr(out.statistic)), abs=1e-14)
         assert out.reject == (out.statistic <= float(ndtri(alpha)))
         assert out.alpha == alpha
 
 
 class TestPanicIdiosyncratic:
+    # Cumulated idiosyncratic paths: lagged partial sums of the factor
+    # residuals, and the current path one step ahead.
+
     def test_unit_steps(self):
         fit = estimate_factors(DiffPanel(np.array([[1.0, 1.0, 1.0]])), 0)
-        lagged, current = panic_idiosyncratic(fit)
-        assert np.array_equal(lagged.values, [[0.0, 1.0, 2.0]])
-        assert np.array_equal(current.values, [[1.0, 2.0, 3.0]])
+        lagged = lagged_cumsum(fit.residuals.values)
+        assert np.array_equal(lagged, [[0.0, 1.0, 2.0]])
+        assert np.array_equal(lagged + fit.residuals.values, [[1.0, 2.0, 3.0]])
 
     def test_zero_residuals(self):
         fit = estimate_factors(DiffPanel(np.zeros((2, 4))), 0)
-        lagged, current = panic_idiosyncratic(fit)
-        assert np.all(lagged.values == 0.0) and np.all(current.values == 0.0)
+        lagged = lagged_cumsum(fit.residuals.values)
+        assert np.all(lagged == 0.0) and np.all(lagged + fit.residuals.values == 0.0)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         fit = estimate_factors(DiffPanel(rng.normal(size=(3, 9))), 0)
-        _, current = panic_idiosyncratic(fit)
-        back = np.column_stack([current.values[:, 0],
-                                np.diff(current.values, axis=1)])
+        current = lagged_cumsum(fit.residuals.values) + fit.residuals.values
+        back = np.column_stack([current[:, 0], np.diff(current, axis=1)])
         assert np.allclose(back, fit.residuals.values, atol=1e-12)
 
 
@@ -224,8 +228,8 @@ class TestInvarianceSuites:
         psi = precision_matrix(lrvs, fit.loadings_hat)
         psi2 = precision_matrix(lrvs2, fit2.loadings_hat)
         for make in (t_ump, t_ump_emp):
-            a = make(d, psi, lrvs).statistic
-            b = make(d2, psi2, lrvs2).statistic
+            a = make(ump_statistics(d, psi, lrvs)).statistic
+            b = make(ump_statistics(d2, psi2, lrvs2)).statistic
             assert b == pytest.approx(a, abs=1e-9 * (1.0 + abs(a)))
         for (x, y) in zip(bn_tests(fit, lrvs), bn_tests(fit2, lrvs2)):
             assert y.statistic == pytest.approx(x.statistic, abs=1e-9 * (1.0 + abs(x.statistic)))
@@ -240,8 +244,8 @@ class TestInvarianceSuites:
         psi_b = precision_matrix(lrvs, rotated)
         assert np.abs(psi_a.matrix - psi_b.matrix).max() < 1e-8
         for make in (t_ump, t_ump_emp):
-            assert make(d, psi_b, lrvs).statistic == pytest.approx(
-                make(d, psi_a, lrvs).statistic, abs=1e-8)
+            assert make(ump_statistics(d, psi_b, lrvs)).statistic == pytest.approx(
+                make(ump_statistics(d, psi_a, lrvs)).statistic, abs=1e-8)
 
     def test_mp_rotation_invariance(self):
         sim, _, fit, lrvs = _random_pipeline(12, k=2)
@@ -259,9 +263,21 @@ class TestInvarianceSuites:
             lrvs = _lrvs(np.full(9, rng.uniform(0.5, 2.0)),
                          delta=np.full(9, rng.normal() * 0.2))
             psi = precision_matrix(lrvs, fit.loadings_hat)
-            emp = t_ump_emp(d, psi, lrvs).statistic
+            emp = t_ump_emp(ump_statistics(d, psi, lrvs)).statistic
             _, p_b = bn_tests(fit, lrvs)
             assert emp == pytest.approx(p_b.statistic, abs=1e-8)
+
+
+class TestAnalyze:
+    def test_matches_stages_wired_by_hand(self):
+        sim, d, fit, lrvs = _random_pipeline(15)
+        result = analyze(sim.panel, k=2, lrv_cfg=LrvConfig(prewhiten=False))
+        inter = ump_statistics(d, precision_matrix(lrvs, fit.loadings_hat), lrvs)
+        expected = (t_ump(inter), t_ump_emp(inter), *bn_tests(fit, lrvs),
+                    *mp_tests(sim.panel, fit.loadings_hat, lrvs))
+        assert tuple(result.outcomes) == TEST_NAMES
+        assert tuple(result.outcomes.values()) == expected
+        assert result.ump == inter
 
 
 class TestNullDistributionSmoke:
@@ -274,7 +290,7 @@ class TestNullDistributionSmoke:
             d = difference(sim.panel)
             lrvs = _lrvs(sim.true_lrvs)
             psi = precision_matrix(lrvs, sim.true_loadings)
-            stats.append(t_ump(d, psi, lrvs).statistic)
+            stats.append(t_ump(ump_statistics(d, psi, lrvs)).statistic)
         stats = np.asarray(stats)
         assert abs(stats.mean()) < 0.2
         assert 0.75 <= stats.var() <= 1.25
