@@ -10,15 +10,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
+import time
+from dataclasses import asdict
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .asymptotics import emit_power_curve
 from .dgp import DgpConfig, InnovationSpec, simulate
 from .errors import DataError, NumericalError
-from .harness import Experiment, RESULT_COLUMNS, run, WORKERS_ENV_VAR
+from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, blas_threads, run,
+                      worker_count)
 from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
 from .panel import Panel
@@ -222,13 +227,25 @@ def _cmd_mc(args) -> int:
     if args.seed is not None:
         cfg["base_seed"] = args.seed
     exp = _experiment_from_json(cfg)
+    start = time.perf_counter()
     rows = run(exp, workers=args.workers)
+    wall_s = time.perf_counter() - start
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row.as_dict())
-    print(f"wrote {len(rows)} rows to {args.out}")
+    manifest = {
+        "experiment": asdict(exp),
+        "versions": {"panelur": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "workers": worker_count(exp, args.workers),
+        "blas_threads_per_process": blas_threads(),
+        "wall_s": wall_s,
+    }
+    with open(args.out + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+    print(f"wrote {len(rows)} rows to {args.out} and {args.out}.manifest.json")
     return 0
 
 

@@ -6,10 +6,18 @@ worker count and any grid composition. The framework coordinate is excluded
 from the hash: MP and PANIC cells that agree otherwise consume identical
 draws, which makes the two setups literally coincide under the null and
 keeps their power comparison free of simulation noise.
+
+While `run` executes, every loaded OpenBLAS library runs one thread per
+process: a pool of multithreaded BLAS workers oversubscribes the cores. The
+caller's thread counts are restored when `run` returns, and a user who sets
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS keeps that setting throughout.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,14 +27,18 @@ import numpy as np
 
 from .asymptotics import local_power_mp_bn, power_envelope
 from .dgp import DgpConfig, InnovationSpec, simulate
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .lrv import LrvConfig
-from .statistics import TEST_NAMES, analyze
+from .statistics import TEST_NAMES, analyze, check_alpha
 
 __all__ = ["Experiment", "ResultRow", "run", "power_figure_data", "replication_seed",
-           "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
+           "worker_count", "blas_threads", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
 
 WORKERS_ENV_VAR = "PANELUR_WORKERS"
+
+# Standard OpenBLAS / OpenMP thread variables: when either is set, the user's
+# choice stands and `run` leaves the thread counts alone.
+_BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 RESULT_COLUMNS = ("framework", "n", "T", "ratio", "innovation", "distribution",
                   "bandwidth", "kernel", "prewhiten", "h", "test",
@@ -65,8 +77,7 @@ class Experiment:
         object.__setattr__(self, "tests", tuple(self.tests))
         if self.replications < 1:
             raise DataError("need at least one replication")
-        if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        check_alpha(self.alpha)
         for grid in ("frameworks", "sizes", "ratios", "innovations",
                      "distributions", "h_values", "tests"):
             if not getattr(self, grid):
@@ -157,7 +168,7 @@ def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
     for rep in range(rep_start, rep_stop):
         try:
             flags = run_single(exp, cell, rep)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError):
+        except (DataError, NumericalError, np.linalg.LinAlgError):
             errors += 1
             continue
         successes += 1
@@ -166,7 +177,7 @@ def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
     return cell, counts, successes, errors
 
 
-def _worker_count(workers: int | None) -> int:
+def _requested_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV_VAR)
@@ -175,16 +186,105 @@ def _worker_count(workers: int | None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
-    """Execute the full grid; deterministic for a fixed experiment, any worker count."""
-    cells = exp.cells()
-    n_workers = _worker_count(workers)
-    chunk = max(1, min(500, exp.replications // max(1, n_workers * 4) + 1))
+def _plan(exp: Experiment, workers: int | None) -> tuple[int, list[tuple]]:
+    """Worker processes, never more than tasks, and the (cell, start, stop) tasks."""
+    requested = _requested_workers(workers)
+    chunk = max(1, min(500, exp.replications // max(1, requested * 4) + 1))
     tasks = [
         (cell, start, min(start + chunk, exp.replications))
-        for cell in cells
+        for cell in exp.cells()
         for start in range(0, exp.replications, chunk)
     ]
+    return min(requested, len(tasks)), tasks
+
+
+def worker_count(exp: Experiment, workers: int | None = None) -> int:
+    """Processes that `run(exp, workers)` runs replications in."""
+    return _plan(exp, workers)[0]
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(set, get) thread-count functions of each OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = (line.split(maxsplit=5) for line in fh)
+            paths = sorted({f[5].strip() for f in fields
+                            if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        # Plain builds export openblas_*; the scipy-openblas wheels add a
+        # scipy_ prefix and, for the 64-bit integer build, a 64_ suffix.
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(lib, name % "set") and hasattr(lib, name % "get"):
+                set_threads, get_threads = getattr(lib, name % "set"), getattr(lib, name % "get")
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return tuple(controls)
+
+
+def _blas_controls() -> tuple:
+    """The OpenBLAS controls `run` may change: none when the user set a thread variable."""
+    if any(name in os.environ for name in _BLAS_ENV_VARS):
+        return ()
+    return _openblas_controls()
+
+
+def _set_blas_threads(controls: tuple, counts: list[int]) -> None:
+    """Give each OpenBLAS its thread count, leaving alone those already there.
+
+    After a fork, OpenBLAS restarts its thread pool on any set call, and the
+    new pool threads busy-wait for about a tenth of a second of CPU: a forked
+    worker that inherited one thread must not call the setter again.
+    """
+    for (set_threads, get_threads), count in zip(controls, counts):
+        if get_threads() != count:
+            set_threads(count)
+
+
+def _pin_blas() -> None:
+    """Set every controllable OpenBLAS to one thread; also the pool's worker initializer."""
+    controls = _blas_controls()
+    _set_blas_threads(controls, [1] * len(controls))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread per process, restoring the caller's counts on exit."""
+    controls = _blas_controls()
+    saved = [get_threads() for _, get_threads in controls]
+    _pin_blas()
+    try:
+        yield
+    finally:
+        _set_blas_threads(controls, saved)
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS threads per process while `run` executes; None when no OpenBLAS is found.
+
+    That is 1 unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, in
+    which case OpenBLAS keeps the count the variable gave it.
+    """
+    with _one_blas_thread():
+        counts = [get_threads() for _, get_threads in _openblas_controls()]
+    return max(counts, default=None)
+
+
+def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
+    """Execute the full grid; deterministic for a fixed experiment, any worker count.
+
+    Replications run with one OpenBLAS thread per process (see the module
+    docstring), in the serial path and in every pool worker alike.
+    """
+    cells = exp.cells()
+    n_workers, tasks = _plan(exp, workers)
     results = {cell: ({name: 0 for name in exp.tests}, 0, 0) for cell in cells}
 
     def fold(cell, counts, successes, errors):
@@ -193,15 +293,18 @@ def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
             agg[name] += c
         results[cell] = (agg, succ + successes, err + errors)
 
-    if n_workers == 1 or len(tasks) == 1:
-        for cell, start, stop in tasks:
-            fold(*_run_chunk(exp, cell, start, stop))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_run_chunk, exp, cell, start, stop)
-                       for cell, start, stop in tasks]
-            for fut in futures:
-                fold(*fut.result())
+    # Pin before the pool forks, so forked workers start single-threaded; the
+    # initializer covers the spawn and forkserver start methods.
+    with _one_blas_thread():
+        if n_workers == 1:
+            for cell, start, stop in tasks:
+                fold(*_run_chunk(exp, cell, start, stop))
+        else:
+            with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
+                futures = [pool.submit(_run_chunk, exp, cell, start, stop)
+                           for cell, start, stop in tasks]
+                for fut in futures:
+                    fold(*fut.result())
 
     rows: list[ResultRow] = []
     for cell in cells:

@@ -68,6 +68,12 @@ class UmpIntermediates:
     correction: float
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside (0, 1) with a DataError."""
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def _outcome(name: str, statistic: float, alpha: float) -> TestOutcome:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -241,8 +247,10 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
 
     With k None the factor count is selected by IC_p2 over
     0..min(k_max, n, T'). A unit whose differences are all zero is rejected
-    up front: its long-run variance would be zero.
+    up front: its long-run variance would be zero. An alpha outside (0, 1)
+    is rejected before any work.
     """
+    check_alpha(alpha)
     d = difference(panel)
     constant = np.flatnonzero(~d.values.any(axis=1))
     if constant.size:

@@ -9,6 +9,7 @@ import pytest
 from panelur import DgpConfig, analyze, simulate, statistics
 from panelur.cli import load_panel_csv, main, write_panel_csv
 from panelur.errors import DataError
+from panelur.harness import blas_threads
 from panelur.panel import Panel
 
 
@@ -210,6 +211,24 @@ class TestMcCommand:
         for r in rows:
             assert 0.0 <= float(r["rejection_rate"]) <= 1.0
             assert r["errors"] == "0"
+        with open(f"{out}.manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["experiment"]["base_seed"] == 3
+        assert manifest["experiment"]["replications"] == 10
+        assert manifest["experiment"]["lrv_cfg"]["prewhiten"] is False
+        assert set(manifest["versions"]) == {"panelur", "python", "numpy", "scipy"}
+        assert manifest["workers"] == 1
+        assert manifest["blas_threads_per_process"] == blas_threads()
+        assert manifest["wall_s"] > 0.0
+
+    def test_manifest_workers_capped_at_tasks(self, tmp_path):
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"sizes": [[10, 25]], "replications": 1,
+                                   "lrv": {"prewhiten": False}}))
+        out = tmp_path / "mc.csv"
+        assert main(["mc", str(cfg), str(out), "--workers", "8"]) == 0
+        with open(f"{out}.manifest.json") as fh:
+            assert json.load(fh)["workers"] == 1
 
 
 class TestSelftestCommand:
@@ -244,6 +263,12 @@ class TestExitCodes:
 
         monkeypatch.setattr(statistics, "estimate_lrv_set", singular)
         assert main(["test", str(out), "--k", "1"]) == 3
+
+    def test_alpha_out_of_range(self, tmp_path, sim_config, capsys):
+        out = tmp_path / "panel.csv"
+        main(["simulate", str(sim_config), str(out)])
+        assert main(["test", str(out), "--alpha", "1.5"]) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["test", "/nonexistent/panel.csv"]) == 2

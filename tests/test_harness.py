@@ -1,11 +1,18 @@
 """Monte Carlo harness: determinism, seeding, parallel equivalence, aggregation."""
 
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from panelur import (DataError, Experiment, LrvConfig, analyze, power_figure_data,
-                     replication_seed, run, simulate, statistics)
-from panelur.harness import RESULT_COLUMNS, _cell_config, run_single
+from panelur import (DataError, Experiment, LrvConfig, NumericalError, analyze, harness,
+                     power_figure_data, replication_seed, run, simulate, statistics)
+from panelur.harness import RESULT_COLUMNS, WORKERS_ENV_VAR, _cell_config, run_single
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+needs_openblas = pytest.mark.skipif(not harness._openblas_controls(),
+                                    reason="no OpenBLAS library loaded")
 
 
 def _experiment(**kw):
@@ -20,6 +27,33 @@ def _experiment(**kw):
 
 def _rates(rows):
     return {(r.framework, r.h, r.test): r.rejection_rate for r in rows}
+
+
+def _openblas_threads():
+    return max(get_threads() for _, get_threads in harness._openblas_controls())
+
+
+class _FakeOpenblas:
+    """A thread-count setter and getter pair that records the setter's calls."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def set(self, threads):
+        self.calls.append(threads)
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+
+def _one_thread_chunk(exp, cell, start, stop):
+    """Stands in for `_run_chunk` in pool workers: one success that rejects every
+    test exactly when the worker runs OpenBLAS at one thread and has no OpenBLAS
+    pool threads, that is, the process has a single OS thread."""
+    single = _openblas_threads() == 1 and len(os.listdir("/proc/self/task")) == 1
+    return cell, {name: int(single) for name in exp.tests}, 1, 0
 
 
 class TestSeeding:
@@ -73,6 +107,53 @@ class TestRun:
         assert rows[0].replications == 0
         assert np.isnan(rows[0].rejection_rate)
 
+    @pytest.mark.parametrize("error", [DataError, NumericalError, np.linalg.LinAlgError])
+    def test_numerical_failures_counted(self, monkeypatch, error):
+        def degenerate(*args, **kwargs):
+            raise error("degenerate replication")
+
+        monkeypatch.setattr(harness, "analyze", degenerate)
+        rows = run(_experiment(replications=3), workers=1)
+        assert all(r.errors == 3 and r.replications == 0 for r in rows)
+
+    @pytest.mark.parametrize("error", [ValueError, RecursionError, ZeroDivisionError])
+    def test_programming_bug_stops_run(self, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("operands could not be broadcast together")
+
+        monkeypatch.setattr(harness, "analyze", broken)
+        with pytest.raises(error, match="broadcast"):
+            run(_experiment(replications=3), workers=1)
+
+    def test_never_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        exp = _experiment(replications=2)   # one cell: 2 tasks at any worker count
+        serial = _rates(run(exp, workers=1))
+        assert _rates(run(exp, workers=16)) == serial
+        monkeypatch.setenv(WORKERS_ENV_VAR, "64")
+        assert _rates(run(exp)) == serial
+        assert sizes == [2, 2]
+        assert harness.worker_count(exp, 16) == 2
+        run(_experiment(replications=1), workers=16)   # a single task runs in-process
+        assert sizes == [2, 2]
+
     def test_grid_validation(self):
         with pytest.raises(DataError):
             _experiment(tests=("nope",))
@@ -83,6 +164,65 @@ class TestRun:
         for alpha in (0.0, 1.0, 1.5):
             with pytest.raises(DataError):
                 _experiment(alpha=alpha)
+
+
+class TestBlasThreads:
+    @pytest.fixture(autouse=True)
+    def no_user_setting(self, monkeypatch):
+        for name in BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
+
+    @needs_openblas
+    def test_pool_workers_run_one_thread(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_chunk", _one_thread_chunk)
+        rows = run(_experiment(replications=8), workers=2)
+        assert {r.rejection_rate for r in rows} == {1.0}
+
+    @needs_openblas
+    def test_caller_threads_restored(self, monkeypatch):
+        controls = harness._openblas_controls()
+        saved = [get_threads() for _, get_threads in controls]
+        seen = []
+
+        def recording(exp, cell, rep):
+            seen.append(_openblas_threads())
+            return {name: False for name in exp.tests}
+
+        monkeypatch.setattr(harness, "run_single", recording)
+        try:
+            for set_threads, _ in controls:
+                set_threads(2)
+            run(_experiment(replications=3), workers=1)
+            assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
+        finally:
+            for (set_threads, _), count in zip(controls, saved):
+                set_threads(count)
+        assert seen == [1, 1, 1]
+        assert harness.blas_threads() == 1
+
+    @pytest.mark.parametrize("variable", BLAS_ENV)
+    def test_user_variable_respected(self, monkeypatch, variable):
+        blas = _FakeOpenblas(threads=4)
+        monkeypatch.setattr(harness, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        exp = _experiment(replications=2)
+        run(exp, workers=1)
+        assert blas.calls == [1, 4]
+        blas.calls.clear()
+        monkeypatch.setenv(variable, "4")
+        run(exp, workers=1)
+        assert blas.calls == []
+        assert harness.blas_threads() == 4
+
+    def test_libraries_at_one_thread_left_alone(self, monkeypatch):
+        blas = _FakeOpenblas(threads=1)
+        monkeypatch.setattr(harness, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        run(_experiment(replications=2), workers=1)
+        assert blas.calls == []
+
+    def test_no_openblas(self, monkeypatch):
+        monkeypatch.setattr(harness, "_openblas_controls", lambda: ())
+        assert harness.blas_threads() is None
+        assert len(run(_experiment(replications=2), workers=1)) == 3
 
 
 class TestRunSingle:

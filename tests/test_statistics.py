@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import ump_statistics_naive
-from panelur import (DgpConfig, DiffPanel, LrvConfig, LrvSet, NumericalError, Panel,
-                     PrecisionMatrix, analyze, bn_statistics, bn_tests, difference,
+from panelur import (DataError, DgpConfig, DiffPanel, LrvConfig, LrvSet, NumericalError,
+                     Panel, PrecisionMatrix, analyze, bn_statistics, bn_tests, difference,
                      estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
                      precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
+from panelur import statistics
 from panelur.statistics import TEST_NAMES
 
 
@@ -278,6 +279,16 @@ class TestAnalyze:
         assert tuple(result.outcomes) == TEST_NAMES
         assert tuple(result.outcomes.values()) == expected
         assert result.ump == inter
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_rejected_before_any_work(self, monkeypatch, alpha):
+        def never(*args, **kwargs):
+            raise AssertionError("analyze fitted factors for an invalid alpha")
+
+        monkeypatch.setattr(statistics, "estimate_factors", never)
+        sim, _, _, _ = _random_pipeline(16)
+        with pytest.raises(DataError, match=r"alpha must lie in \(0, 1\)"):
+            analyze(sim.panel, k=2, alpha=alpha)
 
 
 class TestNullDistributionSmoke:
