@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .statistics import check_alpha
+
 __all__ = [
     "FISHER_INFORMATION",
     "PowerCurve",
@@ -37,14 +39,9 @@ class PowerCurve:
     ratio: float
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def power_envelope(alpha: float, h_abs: float) -> float:
     """Maximal attainable asymptotic local power at deviation |h|."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if h_abs < 0.0:
         raise ValueError("h_abs must be nonnegative")
     return float(ndtr(ndtri(alpha) + h_abs / math.sqrt(2.0)))
@@ -52,7 +49,7 @@ def power_envelope(alpha: float, h_abs: float) -> float:
 
 def local_power_mp_bn(alpha: float, h_abs: float, ratio: float) -> float:
     """Asymptotic local power of the pooled MP and BN tests at deviation |h|."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     if h_abs < 0.0:
@@ -62,7 +59,7 @@ def local_power_mp_bn(alpha: float, h_abs: float, ratio: float) -> float:
 
 def emit_power_curve(alpha: float, h_grid, ratio: float) -> PowerCurve:
     """Evaluate both power series over a sorted, nonnegative grid of |h|."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     grid = np.asarray(h_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("h grid must be a nonempty 1-d sequence")

@@ -13,7 +13,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import scipy
@@ -145,7 +145,15 @@ def _cmd_test(args) -> int:
     return 0
 
 
+def _reject_unknown(cfg: dict, known: set, what: str) -> None:
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise DataError(f"unknown {what} field(s): {', '.join(map(repr, unknown))}")
+
+
 def _dgp_from_json(cfg: dict) -> DgpConfig:
+    _reject_unknown(cfg, {f.name for f in fields(DgpConfig)}, "simulation config")
+
     def spec(entry, default_target=1.0):
         entry = dict(entry or {})
         entry.setdefault("target_lrv", default_target)
@@ -190,7 +198,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _experiment_from_json(cfg: dict) -> Experiment:
+    known = {f.name for f in fields(Experiment)} - {"lrv_cfg"} | {"lrv"}
+    _reject_unknown(cfg, known, "experiment config")
     lrv = dict(cfg.get("lrv", {}))
+    _reject_unknown(lrv, {f.name for f in fields(LrvConfig)}, "lrv config")
     lrv_cfg = LrvConfig(
         kernel=lrv.get("kernel", "bartlett"),
         bandwidth=lrv.get("bandwidth", "andrews"),

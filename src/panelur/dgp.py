@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .panel import Panel
+from .panel import Panel, ar_recursion
 
 __all__ = [
     "InnovationSpec",
@@ -148,23 +148,7 @@ def _innovation_matrix(rng: np.random.Generator, spec: InnovationSpec,
         theta = spec.parameter
         return sig * (raw[:, 1:] + theta * raw[:, :-1])
     phi = spec.parameter
-    out = np.empty((rows, T))
-    level = raw[:, 0] / math.sqrt(1.0 - phi * phi)
-    for t in range(T):
-        level = phi * level + raw[:, t + 1]
-        out[:, t] = level
-    return sig * out
-
-
-def _ar_accumulate(innov: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """x_t = rho * x_{t-1} + innov_t with zero starting values, per row."""
-    rows, T = innov.shape
-    out = np.empty((rows, T))
-    level = np.zeros(rows)
-    for t in range(T):
-        level = rho * level + innov[:, t]
-        out[:, t] = level
-    return out
+    return sig * ar_recursion(raw[:, 1:], phi, start=raw[:, 0] / math.sqrt(1.0 - phi * phi))
 
 
 def _simulate_components(config: DgpConfig):
@@ -204,14 +188,14 @@ def _simulate_components(config: DgpConfig):
             factors = f_innov
         else:
             rho_k = local_rho(n, T, config.h) if config.framework == "MP" else 1.0
-            factors = _ar_accumulate(f_innov, np.full(K, rho_k))
+            factors = ar_recursion(f_innov, rho_k)
     else:
         factors = np.zeros((0, T))
 
     unit_scale = innovation_scale(replace(config.idio_spec, target_lrv=1.0))
     eta = _innovation_matrix(rng_eta, config.idio_spec, n, T,
                              unit_scale * np.sqrt(unit_lrvs))
-    idio = _ar_accumulate(eta, rho_units)
+    idio = ar_recursion(eta, rho_units)
 
     z = loadings @ factors + idio
     return z, idio, factors, loadings, unit_lrvs, rho_units

@@ -182,7 +182,9 @@ def _requested_workers(workers: int | None) -> int:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise DataError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
+        return int(env)
     return max(1, os.cpu_count() or 1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .panel import DiffPanel
+from .panel import DiffPanel, ar_recursion
 
 __all__ = ["LrvConfig", "LrvSet", "estimate_lrv_set"]
 
@@ -219,19 +219,8 @@ def _filter_series(x: np.ndarray, model: int, phi: np.ndarray, theta: np.ndarray
     if model == _AR1:
         return x[:, 1:] - phi[:, None] * x[:, :-1]
     if model == _MA1:
-        out = np.empty_like(x)
-        prev = x[:, 0].copy()
-        out[:, 0] = prev
-        for t in range(1, x.shape[1]):
-            prev = x[:, t] - theta * prev
-            out[:, t] = prev
-        return out
-    out = np.empty((x.shape[0], x.shape[1] - 1))
-    prev = np.zeros(x.shape[0])
-    for t in range(1, x.shape[1]):
-        prev = x[:, t] - phi * x[:, t - 1] - theta * prev
-        out[:, t - 1] = prev
-    return out
+        return ar_recursion(x, -theta)
+    return ar_recursion(x[:, 1:] - phi[:, None] * x[:, :-1], -theta)
 
 
 def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

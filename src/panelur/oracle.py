@@ -23,6 +23,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from .dgp import InnovationSpec, innovation_scale, lognormal_heterogeneity_params
 from .errors import DataError, DimensionError, NumericalError, ResourceError
 from .panel import DiffPanel, lagged_cumsum
+from .statistics import PrecisionMatrix
 
 __all__ = [
     "OracleNuisance",
@@ -188,6 +189,18 @@ def delta_mp_exact(d: DiffPanel, nu: OracleNuisance) -> tuple[float, float]:
     return delta, info
 
 
+def _precision(nu: OracleNuisance, smw: bool) -> PrecisionMatrix:
+    """Inverse LRVs minus the factor space: the SMW inverse, or the full projection."""
+    if np.any(nu.lrv_eta <= 0.0):
+        raise NumericalError("nonpositive approximate long-run variance")
+    prior = None
+    if smw:
+        if np.any(nu.lrv_f <= 0.0):
+            raise NumericalError("nonpositive factor long-run variance in the SMW form")
+        prior = 1.0 / nu.lrv_f
+    return PrecisionMatrix(1.0 / nu.lrv_eta, nu.loadings, prior)
+
+
 def psi_epsilon_inverse(nu: OracleNuisance, method: str = "smw") -> np.ndarray:
     """Inverse of the cross-sectional long-run covariance proxy.
 
@@ -195,59 +208,32 @@ def psi_epsilon_inverse(nu: OracleNuisance, method: str = "smw") -> np.ndarray:
     inverts the n x n matrix explicitly; both describe the Kronecker factor
     acting on the unit dimension.
     """
-    omega = nu.lrv_eta
-    if np.any(omega <= 0.0):
+    if method == "smw":
+        return _precision(nu, smw=True).matrix
+    if method != "direct":
+        raise ValueError(f"unknown method {method!r}")
+    if np.any(nu.lrv_eta <= 0.0):
         raise NumericalError("nonpositive approximate long-run variance")
     lam = nu.loadings
-    if method == "direct":
-        return np.linalg.inv(lam @ np.diag(nu.lrv_f) @ lam.T + np.diag(omega))
-    if method != "smw":
-        raise ValueError(f"unknown method {method!r}")
-    inv_omega = 1.0 / omega
-    if nu.k == 0:
-        return np.diag(inv_omega)
-    if np.any(nu.lrv_f <= 0.0):
-        raise NumericalError("nonpositive factor long-run variance in the SMW form")
-    weighted = inv_omega[:, None] * lam
-    inner = np.diag(1.0 / nu.lrv_f) + lam.T @ weighted
-    try:
-        solved = np.linalg.solve(inner, weighted.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular SMW inner matrix") from exc
-    return np.diag(inv_omega) - weighted @ solved
+    return np.linalg.inv(lam @ np.diag(nu.lrv_f) @ lam.T + np.diag(nu.lrv_eta))
 
 
-def _cross_section_quadratic(d: DiffPanel, m: np.ndarray) -> float:
-    """Quadratic form sum_{i,j} m_ij (A x_i)' x_j for a Kronecker factor m."""
-    w = lagged_cumsum(d.values)
-    return float(np.sum(m * (w @ d.values.T)))
+def _projected_delta(d: DiffPanel, nu: OracleNuisance, smw: bool) -> float:
+    """Simplified central sequence sum_{i,j} m_ij (A x_i)' x_j for the factor-space precision m."""
+    n, t = _check_dims(d, nu)
+    psi = _precision(nu, smw)
+    quad = float(np.sum(lagged_cumsum(d.values) * psi.apply(d.values)))
+    return quad / (math.sqrt(n) * t) - _correction(nu)
 
 
 def delta_mp_smw(d: DiffPanel, nu: OracleNuisance) -> float:
     """Simplified central sequence with the SMW inverse of the long-run proxy."""
-    n, t = _check_dims(d, nu)
-    m = psi_epsilon_inverse(nu, method="smw")
-    return _cross_section_quadratic(d, m) / (math.sqrt(n) * t) - _correction(nu)
+    return _projected_delta(d, nu, smw=True)
 
 
 def delta_star(d: DiffPanel, nu: OracleNuisance) -> float:
     """Central sequence with the factor directions projected out entirely."""
-    n, t = _check_dims(d, nu)
-    omega = nu.lrv_eta
-    if np.any(omega <= 0.0):
-        raise NumericalError("nonpositive approximate long-run variance")
-    inv_omega = 1.0 / omega
-    lam = nu.loadings
-    if nu.k == 0:
-        m = np.diag(inv_omega)
-    else:
-        weighted = inv_omega[:, None] * lam
-        try:
-            solved = np.linalg.solve(lam.T @ weighted, weighted.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular weighted loading Gram matrix") from exc
-        m = np.diag(inv_omega) - weighted @ solved
-    return _cross_section_quadratic(d, m) / (math.sqrt(n) * t) - _correction(nu)
+    return _projected_delta(d, nu, smw=False)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +344,8 @@ def lan_convergence_report(sizes, seeds: int, base_seed: int = 0, ratio: float =
 
         inv_omega = 1.0 / solver.lrv_eta
         correction = float(np.sum(solver.oslrv_eta * inv_omega)) / math.sqrt(n)
-        if k > 0:
-            weighted = inv_omega[:, None] * loadings
-            m_smw = (np.diag(inv_omega) - weighted @ np.linalg.solve(
-                np.diag(1.0 / solver.lrv_f) + loadings.T @ weighted, weighted.T))
-            m_star = (np.diag(inv_omega) - weighted @ np.linalg.solve(
-                loadings.T @ weighted, weighted.T))
-        else:
-            m_smw = np.diag(inv_omega)
-            m_star = m_smw
+        psi_smw = PrecisionMatrix(inv_omega, loadings, 1.0 / solver.lrv_f)
+        psi_star = PrecisionMatrix(inv_omega, loadings)
 
         samples = {name: np.empty(seeds) for name in _REPORT_STATS}
         for rep in range(seeds):
@@ -391,11 +370,10 @@ def lan_convergence_report(sizes, seeds: int, base_seed: int = 0, ratio: float =
             quad, info = solver.quad_pair(w_y.T, dy.T)
             samples["delta_mp"][rep] = quad / (math.sqrt(n) * t)
             samples["j_mp"][rep] = info / (n * t * t)
-            cross = w_y @ dy.T
             samples["delta_mp_smw"][rep] = (
-                float(np.sum(m_smw * cross)) / (math.sqrt(n) * t) - correction)
+                float(np.sum(w_y * psi_smw.apply(dy))) / (math.sqrt(n) * t) - correction)
             samples["delta_star"][rep] = (
-                float(np.sum(m_star * cross)) / (math.sqrt(n) * t) - correction)
+                float(np.sum(w_y * psi_star.apply(dy))) / (math.sqrt(n) * t) - correction)
 
         for name in _REPORT_STATS:
             mean, var, skew, kurt = _moments(samples[name])

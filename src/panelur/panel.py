@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 
-__all__ = ["Panel", "DiffPanel", "difference", "lagged_cumsum"]
+__all__ = ["Panel", "DiffPanel", "difference", "lagged_cumsum", "ar_recursion"]
 
 
 def _as_float_matrix(values, what: str) -> np.ndarray:
@@ -98,4 +98,18 @@ def lagged_cumsum(x: np.ndarray) -> np.ndarray:
     """
     out = np.zeros_like(x)
     np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def ar_recursion(u: np.ndarray, coef, start=0.0) -> np.ndarray:
+    """x_t = coef * x_{t-1} + u_t along the last axis of an n x T array.
+
+    coef is a scalar or one coefficient per row; start is x_{-1}, zero by
+    default.
+    """
+    out = np.empty(u.shape)
+    level = start
+    for t in range(u.shape[-1]):
+        level = coef * level + u[:, t]
+        out[:, t] = level
     return out

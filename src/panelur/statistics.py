@@ -7,6 +7,12 @@ conventions are applied consistently across the optimal statistics and the
 pooled-autoregression tests, which is what makes the homogeneous-variance
 reduction of the optimal test to P_b exact in finite samples. `analyze`
 runs the whole recipe on a level panel and returns all six outcomes.
+
+Every test removes the factor space with one operator, `PrecisionMatrix`:
+Omega^{-1} - W (P + L'W)^{-1} W' with W = Omega^{-1} L. The optimal tests
+use it with the estimated LRVs and P = 0, the MP tests with unit weights
+(the projection I - L (L'L)^{-1} L'). It is kept as a diagonal plus a
+rank-K factor and applied in O(nTK); no statistic forms an n x n matrix.
 """
 
 from __future__ import annotations
@@ -40,12 +46,49 @@ __all__ = [
 TEST_NAMES = ("t_ump", "t_ump_emp", "p_a", "p_b", "t_a", "t_b")
 
 
-@dataclass(frozen=True)
 class PrecisionMatrix:
-    """Estimated inverse cross-sectional covariance with factor directions removed."""
+    """Omega^{-1} - W (P + L'W)^{-1} W' with W = Omega^{-1} L, held in factored form.
 
-    matrix: np.ndarray
-    k: int
+    Built from the inverse weights Omega^{-1} (an n-vector), loadings L
+    (n x K, or None for K = 0) and an optional K-vector P. With P absent it
+    annihilates L and is invariant to L -> L R for invertible R; with unit
+    weights it is the projection I - L (L'L)^{-1} L'. With
+    P = 1 / omega_f^2 it is the Sherman-Morrison-Woodbury inverse of
+    L diag(omega_f^2) L' + Omega.
+    """
+
+    def __init__(self, inv_weights: np.ndarray, loadings: np.ndarray | None = None,
+                 prior: np.ndarray | None = None):
+        inv = np.asarray(inv_weights, dtype=float)
+        n = inv.size
+        lam = np.zeros((n, 0)) if loadings is None else np.asarray(loadings, dtype=float)
+        if lam.ndim != 2 or lam.shape[0] != n:
+            raise DimensionError(f"loadings must be n x K with n = {n} units, got {lam.shape}")
+        k = lam.shape[1]
+        weighted = inv[:, None] * lam
+        inner = lam.T @ weighted
+        if prior is not None:
+            inner += np.diag(prior)
+        try:
+            solved = np.linalg.solve(inner, weighted.T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular {k} x {k} loading Gram matrix over {n} units") from exc
+        self.inv_weights = inv
+        self.weighted = weighted
+        self.solved = solved
+
+    @property
+    def k(self) -> int:
+        return self.weighted.shape[1]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator times an n x T array, in O(nTK)."""
+        return self.inv_weights[:, None] * x - self.weighted @ (self.solved @ x)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix; the statistics never form it."""
+        return self.apply(np.eye(self.inv_weights.size))
 
 
 @dataclass(frozen=True)
@@ -75,8 +118,7 @@ def check_alpha(alpha: float) -> None:
 
 
 def _outcome(name: str, statistic: float, alpha: float) -> TestOutcome:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     return TestOutcome(
         name=name,
         statistic=float(statistic),
@@ -89,28 +131,11 @@ def _outcome(name: str, statistic: float, alpha: float) -> TestOutcome:
 def precision_matrix(lrvs: LrvSet, loadings: np.ndarray | None) -> PrecisionMatrix:
     """Inverse of the long-run covariance proxy, with the factor space projected out.
 
-    With loadings L and Omega = diag(omega_i^2), returns
+    With loadings L and Omega = diag(omega_i^2), this is
     Omega^{-1} - Omega^{-1} L (L' Omega^{-1} L)^{-1} L' Omega^{-1};
-    with no factors, just Omega^{-1}. The result annihilates the loadings
-    columns and is invariant to their rotation.
+    with no factors, just Omega^{-1}.
     """
-    inv_omega = 1.0 / lrvs.omega2
-    if loadings is None or loadings.size == 0:
-        return PrecisionMatrix(matrix=np.diag(inv_omega), k=0)
-    lam = np.asarray(loadings, dtype=float)
-    if lam.ndim != 2 or lam.shape[0] != lrvs.n_units:
-        raise DimensionError("loadings must be n x K with n matching the LRV set")
-    weighted = inv_omega[:, None] * lam
-    inner = lam.T @ weighted
-    try:
-        solved = np.linalg.solve(inner, weighted.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular {lam.shape[1]} x {lam.shape[1]} loading Gram matrix over {lrvs.n_units} units"
-        ) from exc
-    matrix = np.diag(inv_omega) - weighted @ solved
-    matrix = 0.5 * (matrix + matrix.T)
-    return PrecisionMatrix(matrix=matrix, k=lam.shape[1])
+    return PrecisionMatrix(1.0 / lrvs.omega2, loadings)
 
 
 def _used_columns(values: np.ndarray) -> np.ndarray:
@@ -123,17 +148,16 @@ def _used_columns(values: np.ndarray) -> np.ndarray:
 def ump_statistics(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet) -> UmpIntermediates:
     """Central sequence and empirical information from a differenced panel.
 
-    Single-pass running partial sums give O(n^2 T); the first difference
-    column is excluded from both pooled sums and the normalizers use the
-    number of difference columns T'.
+    Running partial sums and the factored precision give O(nTK); the first
+    difference column is excluded from both pooled sums and the normalizers
+    use the number of difference columns T'.
     """
     x = d.values
     n, tp = x.shape
     used = _used_columns(x)
-    psi_m = psi.matrix
     lagged = lagged_cumsum(used)
-    quad = float(np.sum(lagged * (psi_m @ used)))
-    jquad = float(np.sum(lagged * (psi_m @ lagged)))
+    quad = float(np.sum(lagged * psi.apply(used)))
+    jquad = float(np.sum(lagged * psi.apply(lagged)))
     correction = float(np.sum(lrvs.delta / lrvs.omega2)) / math.sqrt(n)
     delta_hat = quad / (math.sqrt(n) * tp) - correction
     j_hat = jquad / (n * tp * tp)
@@ -201,17 +225,9 @@ def mp_tests(p: Panel, loadings: np.ndarray | None, lrvs: LrvSet,
     y = p.values
     n, t_obs = y.shape
     t_dim = t_obs - 1
-    if loadings is None or loadings.size == 0:
-        q = np.eye(n)
-    else:
-        lam = np.asarray(loadings, dtype=float)
-        try:
-            q = np.eye(n) - lam @ np.linalg.solve(lam.T @ lam, lam.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular loading Gram matrix in factor projection") from exc
     y_lag = np.zeros_like(y)
     y_lag[:, 1:] = y[:, :-1]
-    qy_lag = q @ y_lag
+    qy_lag = PrecisionMatrix(np.ones(n), loadings).apply(y_lag)
     cross = float(np.sum(y * qy_lag))
     denom = float(np.sum(y_lag * qy_lag))
     if denom <= 0.0:

@@ -164,9 +164,9 @@ def test_criterion_7_oracle_equivalences():
         d = DiffPanel(rng.standard_normal((n, tp)))
         lrvs = LrvSet(omega2=rng.uniform(0.5, 2.0, size=n),
                       delta=0.1 * rng.standard_normal(n), gamma0=np.ones(n))
-        psi = precision_matrix(lrvs, rng.standard_normal((n, 2)))
-        fast = ump_statistics(d, psi, lrvs)
-        slow = ump_statistics_naive(d, psi, lrvs)
+        lam = rng.standard_normal((n, 2))
+        fast = ump_statistics(d, precision_matrix(lrvs, lam), lrvs)
+        slow = ump_statistics_naive(d, lrvs, lam)
         worst_sum = max(worst_sum,
                         abs(fast.delta_hat - slow.delta_hat) / max(1.0, abs(slow.delta_hat)),
                         abs(fast.j_hat - slow.j_hat) / max(1.0, abs(slow.j_hat)))

@@ -287,3 +287,42 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"framework": "PANIC", "n": 10, "T": 30, "h": 2.0}))
         assert main(["simulate", str(cfg), str(tmp_path / "o.csv")]) == 2
+
+    def test_misspelled_mc_field_rejected(self, tmp_path, capsys):
+        from pathlib import Path
+
+        sample = Path(__file__).resolve().parent.parent / "sample_data" / "mc_smoke.json"
+        cfg = json.loads(sample.read_text())
+        cfg["replication"] = cfg.pop("replications")
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc.csv"
+        assert main(["mc", str(path), str(out), "--workers", "1"]) == 2
+        assert "unknown experiment config field(s): 'replication'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_lrv_field_rejected(self, tmp_path, capsys):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"replications": 1,
+                                    "lrv": {"prewhiten": False, "kernal": "bartlett"}}))
+        assert main(["mc", str(path), str(tmp_path / "mc.csv"), "--workers", "1"]) == 2
+        assert "unknown lrv config field(s): 'kernal'" in capsys.readouterr().err
+
+    def test_unknown_simulation_fields_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dgp.json"
+        path.write_text(json.dumps({"framework": "PANIC", "n": 10, "T": 30,
+                                    "k": 1, "seeed": 3}))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(path), str(out)]) == 2
+        assert "unknown simulation config field(s): 'k', 'seeed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_workers_env(self, tmp_path, monkeypatch, capsys):
+        from panelur.harness import WORKERS_ENV_VAR
+
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"sizes": [[10, 25]], "replications": 1,
+                                    "lrv": {"prewhiten": False}}))
+        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
+        assert main(["mc", str(path), str(tmp_path / "mc.csv")]) == 2
+        assert f"{WORKERS_ENV_VAR} must be a positive integer" in capsys.readouterr().err

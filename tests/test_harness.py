@@ -154,6 +154,17 @@ class TestRun:
         run(_experiment(replications=1), workers=16)   # a single task runs in-process
         assert sizes == [2, 2]
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_workers_env_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv(WORKERS_ENV_VAR, value)
+        with pytest.raises(DataError, match=f"{WORKERS_ENV_VAR} must be a positive integer, "
+                                            f"got '{value}'"):
+            harness.worker_count(_experiment())
+
+    def test_workers_env_positive_integer_taken(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert harness.worker_count(_experiment(replications=100)) == 3
+
     def test_grid_validation(self):
         with pytest.raises(DataError):
             _experiment(tests=("nope",))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import cumsum_matrix
 from panelur import DataError, DiffPanel, DimensionError, Panel, difference, lagged_cumsum
+from panelur.panel import ar_recursion
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -101,6 +102,34 @@ class TestApplyCumsum:
         d = DiffPanel(rng.normal(size=(2, 4)))
         via_matrix = (cumsum_matrix(4) @ d.values.T).T
         assert np.allclose(lagged_cumsum(d.values), via_matrix, atol=1e-12)
+
+
+class TestArRecursion:
+    def test_hand_values(self):
+        out = ar_recursion(np.array([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0]]), np.array([0.5, -1.0]))
+        assert np.array_equal(out, [[1.0, 1.5, 1.75], [2.0, -2.0, 2.0]])
+
+    def test_start_value(self):
+        out = ar_recursion(np.zeros((2, 3)), 0.5, start=np.array([8.0, -4.0]))
+        assert np.array_equal(out, [[4.0, 2.0, 1.0], [-2.0, -1.0, -0.5]])
+
+    def test_unit_root_is_cumsum(self):
+        u = np.arange(12.0).reshape(2, 6)
+        assert np.array_equal(ar_recursion(u, 1.0), np.cumsum(u, axis=1))
+
+    @given(small_matrices(min_cols=1), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_time_loop_exactly(self, u, seed):
+        rng = np.random.default_rng(seed)
+        coef = rng.uniform(-1.0, 1.0, u.shape[0])
+        start = rng.standard_normal(u.shape[0])
+        expected = np.empty_like(u)
+        prev = start.copy()
+        for t in range(u.shape[1]):
+            for i in range(u.shape[0]):
+                prev[i] = coef[i] * prev[i] + u[i, t]
+            expected[:, t] = prev
+        assert np.array_equal(ar_recursion(u, coef, start=start), expected)
 
 
 class TestRoundTripProperties:

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import ump_statistics_naive
-from panelur import (DataError, DgpConfig, DiffPanel, LrvConfig, LrvSet, NumericalError,
-                     Panel, PrecisionMatrix, analyze, bn_statistics, bn_tests, difference,
-                     estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
+from oracles import dense_precision, mp_statistics_dense, ump_statistics_naive
+from panelur import (DataError, DgpConfig, DiffPanel, DimensionError, LrvConfig, LrvSet,
+                     NumericalError, Panel, PrecisionMatrix, analyze, bn_statistics, bn_tests,
+                     difference, estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
                      precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
 from panelur import statistics
 from panelur.statistics import TEST_NAMES
@@ -58,11 +60,76 @@ class TestPrecisionMatrix:
             precision_matrix(_lrvs([1.0, 1.0]), np.zeros((2, 1)))
 
 
+@st.composite
+def _factor_designs(draw):
+    """Inverse weights, loadings of rank K < n, a K-vector P, an invertible K x K
+    rotation and an n x T array, from a drawn seed."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(0, min(3, n - 1)))
+    t = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = rng.standard_normal((n, k))
+    rotation = rng.standard_normal((k, k)) + 2.0 * np.eye(k)
+    assume(k == 0 or (np.linalg.cond(lam) < 1e3 and np.linalg.cond(rotation) < 1e3))
+    return (rng.uniform(0.2, 5.0, n), lam, rng.uniform(0.1, 3.0, k), rotation,
+            rng.standard_normal((n, t)))
+
+
+def _close(a, b, scale, rel=1e-10):
+    assert np.abs(a - b).max(initial=0.0) <= rel * scale
+
+
+class TestPrecisionOperator:
+    @given(_factor_designs(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_dense_matrix(self, design, with_prior):
+        inv, lam, prior, _, x = design
+        prior = prior if with_prior else None
+        dense = dense_precision(inv, lam, prior)
+        psi = PrecisionMatrix(inv, lam, prior)
+        scale = np.abs(dense).max() * np.abs(x).max() * x.shape[0]
+        _close(psi.apply(x), dense @ x, scale)
+        _close(psi.matrix, dense, np.abs(dense).max())
+        assert psi.k == lam.shape[1]
+
+    @given(_factor_designs())
+    @settings(max_examples=80, deadline=None)
+    def test_annihilates_loadings_without_prior(self, design):
+        inv, lam, _, _, _ = design
+        assume(lam.shape[1] > 0)
+        _close(PrecisionMatrix(inv, lam).apply(lam), 0.0,
+               inv.max() * np.abs(lam).max() * lam.shape[0])
+
+    @given(_factor_designs())
+    @settings(max_examples=80, deadline=None)
+    def test_rotation_invariance(self, design):
+        inv, lam, _, rotation, x = design
+        base = PrecisionMatrix(inv, lam).apply(x)
+        # L and R with condition numbers up to 1e3 cost up to ~1e-10 relative.
+        _close(PrecisionMatrix(inv, lam @ rotation).apply(x), base,
+               inv.max() * np.abs(x).max() * x.shape[0], rel=1e-7)
+
+    @given(_factor_designs())
+    @settings(max_examples=80, deadline=None)
+    def test_mp_tests_match_dense_projection(self, design):
+        inv, lam, _, _, x = design
+        y = np.cumsum(x, axis=1)
+        lrvs = _lrvs(inv, delta=0.1 * (inv - 1.0))
+        t_a, t_b = mp_tests(Panel(y), lam, lrvs)
+        ref_a, ref_b = mp_statistics_dense(y, lam, lrvs)
+        assert t_a.statistic == pytest.approx(ref_a, rel=1e-8, abs=1e-8)
+        assert t_b.statistic == pytest.approx(ref_b, rel=1e-8, abs=1e-8)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            PrecisionMatrix(np.ones(3), np.ones((2, 1)))
+
+
 class TestUmpStatistics:
     def test_hand_example(self):
         # difference columns 1..4; column 1 excluded; values at 2..4 are 1,2,3
         d = DiffPanel(np.array([[-7.0, 1.0, 2.0, 3.0]]))
-        psi = PrecisionMatrix(matrix=np.array([[1.0]]), k=0)
+        psi = precision_matrix(_lrvs([1.0]), None)
         inter = ump_statistics(d, psi, _lrvs([1.0]))
         assert inter.delta_hat == pytest.approx(2.75, abs=1e-12)
         assert inter.j_hat == pytest.approx(0.625, abs=1e-12)
@@ -70,7 +137,7 @@ class TestUmpStatistics:
 
     def test_zero_differences(self):
         d = DiffPanel(np.zeros((2, 6)))
-        psi = PrecisionMatrix(matrix=np.eye(2), k=0)
+        psi = precision_matrix(_lrvs([1.0, 1.0]), None)
         lrvs = _lrvs([2.0, 2.0], delta=[0.5, 0.5])
         inter = ump_statistics(d, psi, lrvs)
         assert inter.delta_hat == pytest.approx(-inter.correction)
@@ -83,14 +150,13 @@ class TestUmpStatistics:
             d = DiffPanel(rng.normal(size=(3, 12)))
             lrvs = _lrvs(rng.uniform(0.5, 2.0, size=3), delta=rng.normal(size=3) * 0.1)
             lam = rng.normal(size=(3, 1))
-            psi = precision_matrix(lrvs, lam)
-            fast = ump_statistics(d, psi, lrvs)
-            slow = ump_statistics_naive(d, psi, lrvs)
+            fast = ump_statistics(d, precision_matrix(lrvs, lam), lrvs)
+            slow = ump_statistics_naive(d, lrvs, lam)
             assert fast.delta_hat == pytest.approx(slow.delta_hat, rel=1e-10)
             assert fast.j_hat == pytest.approx(slow.j_hat, rel=1e-10)
 
     def test_short_panel_raises(self):
-        psi = PrecisionMatrix(matrix=np.eye(1), k=0)
+        psi = precision_matrix(_lrvs([1.0]), None)
         with pytest.raises(Exception):
             ump_statistics(DiffPanel(np.ones((1, 1))), psi, _lrvs([1.0]))
 
@@ -98,7 +164,7 @@ class TestUmpStatistics:
 class TestUmpOutcomes:
     def setup_method(self):
         self.d = DiffPanel(np.array([[-7.0, 1.0, 2.0, 3.0]]))
-        self.psi = PrecisionMatrix(matrix=np.array([[1.0]]), k=0)
+        self.psi = precision_matrix(_lrvs([1.0]), None)
         self.lrvs = _lrvs([1.0])
         self.inter = ump_statistics(self.d, self.psi, self.lrvs)
 
@@ -200,9 +266,9 @@ class TestMpTests:
 
     def test_projection_kills_loadings(self):
         lam = np.array([[1.0], [1.0]])
-        q = np.eye(2) - lam @ np.linalg.solve(lam.T @ lam, lam.T)
-        assert np.allclose(q, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
-        assert np.abs(q @ lam).max() < 1e-14
+        q = PrecisionMatrix(np.ones(2), lam)
+        assert np.allclose(q.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
+        assert np.abs(q.apply(lam)).max() < 1e-14
 
     def test_similar_to_bn_under_null(self):
         # The pooled statistics track each other pathwise once T is moderate;
