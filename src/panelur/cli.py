@@ -33,53 +33,90 @@ __all__ = ["main", "load_panel_csv", "write_panel_csv"]
 
 
 def load_panel_csv(path: str) -> Panel:
-    """Read a long-format panel CSV and pivot it into a balanced Panel."""
-    entries: dict = {}
+    """Read a long-format panel CSV and pivot it into a balanced Panel.
+
+    Blank rows are skipped and fields stripped. Units keep the order of their
+    first row; times are sorted, numerically where the labels are numbers. A
+    faulty file raises DataError naming its first faulty line.
+    """
     units: list = []
     times: list = []
-    seen_units = set()
-    seen_times = set()
+    values: list = []
+    blank_lines: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:3]] != ["unit", "time", "value"]:
             raise DataError(f"{path}: expected header 'unit,time,value'")
+        add_unit, add_time, add_value = units.append, times.append, values.append
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            unit, time_label, value = (field.strip() for field in row)
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    blank_lines.append(lineno)
+                    continue
+                _raise_at(path, lineno, f"expected 3 fields, got {len(row)}",
+                          units, times, blank_lines)
+            unit, time_label, value = row
             try:
-                val = float(value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value {value!r}") from exc
-            key = (unit, time_label)
-            if key in entries:
-                raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
-            entries[key] = val
-            if unit not in seen_units:
-                seen_units.add(unit)
-                units.append(unit)
-            if time_label not in seen_times:
-                seen_times.add(time_label)
-                times.append(time_label)
-    if not entries:
+                add_value(float(value))
+            except ValueError:
+                try:  # str.strip() removes a few characters that float() rejects
+                    add_value(float(value.strip()))
+                except ValueError:
+                    _raise_at(path, lineno, f"non-numeric value {value.strip()!r}",
+                              units, times, blank_lines)
+            add_unit(unit)
+            add_time(time_label)
+    unit_ids, time_ids, rows = _index_rows(path, units, times, blank_lines)
+    if not values:
         raise DataError(f"{path}: no observations")
-    times = sorted(times, key=_label_key)
-    if len(entries) != len(units) * len(times):
+    if len(values) != len(unit_ids) * len(time_ids):
         raise DataError(
-            f"{path}: unbalanced panel: {len(entries)} rows for "
-            f"{len(units)} units x {len(times)} times"
+            f"{path}: unbalanced panel: {len(values)} rows for "
+            f"{len(unit_ids)} units x {len(time_ids)} times"
         )
-    values = np.empty((len(units), len(times)))
-    for i, unit in enumerate(units):
-        for j, time_label in enumerate(times):
-            key = (unit, time_label)
-            if key not in entries:
-                raise DataError(f"{path}: missing observation for unit {unit!r}, time {time_label!r}")
-            values[i, j] = entries[key]
-    return Panel(values, unit_ids=tuple(units), time_ids=tuple(times))
+    grid = np.empty((len(unit_ids), len(time_ids)))
+    grid[rows] = values
+    return Panel(grid, unit_ids=unit_ids, time_ids=time_ids)
+
+
+def _raise_at(path: str, lineno: int, fault: str, units: list, times: list,
+              blank_lines: list):
+    """Raise the fault found at lineno, unless an earlier row repeats a cell."""
+    _index_rows(path, units, times, blank_lines)
+    raise DataError(f"{path}:{lineno}: {fault}")
+
+
+def _index_rows(path: str, units: list, times: list, blank_lines: list):
+    """Unit labels (first-seen order), time labels (sorted) and each row's (unit, time)
+    index arrays. Raises DataError at the first row, in file order, that repeats a cell."""
+    unit_ids, unit_idx = _label_codes(units)
+    time_ids, time_idx = _label_codes(times, key=_label_key)
+    cells = unit_idx * len(time_ids) + time_idx
+    order = np.argsort(cells, kind="stable")
+    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if repeats.size:
+        row = int(repeats.min())
+        lineno = row + 2
+        for blank in blank_lines:  # ascending: each blank line before the row shifts it
+            if blank > lineno:
+                break
+            lineno += 1
+        key = (unit_ids[unit_idx[row]], time_ids[time_idx[row]])
+        raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
+    return unit_ids, time_ids, (unit_idx, time_idx)
+
+
+def _label_codes(raw: list, key=None) -> tuple[tuple, np.ndarray]:
+    """The distinct stripped labels (first-seen order, or sorted by key) and the
+    index of each raw label among them."""
+    distinct = dict.fromkeys(raw)
+    labels = list(dict.fromkeys(label.strip() for label in distinct))
+    if key is not None:
+        labels.sort(key=key)
+    position = {label: i for i, label in enumerate(labels)}
+    code = {label: position[label.strip()] for label in distinct}
+    return tuple(labels), np.fromiter(map(code.__getitem__, raw), dtype=np.intp, count=len(raw))
 
 
 def _label_key(label: str):

@@ -1,8 +1,12 @@
 """Principal-components estimation of loadings, factor-score differences, and residuals.
 
-Everything operates on the differenced panel. Loadings come from the n x n
-cross-sectional second-moment matrix of the differences, so the cost is
-O(n^3) with n <= T in the intended designs.
+Everything operates on the differenced panel, arranged time-major as the
+T' x n matrix X. Loadings are the leading eigenvectors of S = X'X / (n T'),
+taken from whichever Gram matrix is smaller: S itself when n <= T', else
+XX' / (n T') (the dual principal components of Bai and Ng), whose
+eigenvectors u map back to X'u / |X'u|. The eigendecomposition costs
+O(min(n, T')^3), forming the Gram matrix O(n T' min(n, T')), and no n x n
+array is formed when n > T'.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NumericalError
 from .panel import DiffPanel
 
 __all__ = ["FactorFit", "estimate_factors", "select_num_factors"]
@@ -22,7 +26,7 @@ class FactorFit:
     """Result of a principal-components fit at a fixed number of factors.
 
     loadings_bar holds sqrt(n)-scaled orthonormal eigenvectors, loadings_hat
-    the second-moment matrix times loadings_bar; residuals are the
+    the second-moment matrix S times loadings_bar; residuals are the
     idiosyncratic difference residuals (unit-major).
     """
 
@@ -42,7 +46,8 @@ def estimate_factors(d: DiffPanel, k: int) -> FactorFit:
     sign-normalized so its largest-magnitude entry is positive.
 
     k = 0 is the degenerate no-factor fit: empty loadings, residuals equal
-    to the input differences.
+    to the input differences. A k above the rank of the differenced panel
+    raises NumericalError.
     """
     n, tp = d.values.shape
     if k < 0 or k > min(n, tp):
@@ -56,18 +61,9 @@ def estimate_factors(d: DiffPanel, k: int) -> FactorFit:
             k=0,
         )
     x = d.values.T  # (T-1) x n, time-major
-    s = x.T @ x / (n * tp)
-    eigvals, eigvecs = np.linalg.eigh(s)
-    order = np.argsort(eigvals)[::-1][:k]
-    vecs = eigvecs[:, order]
-    # Sign convention: largest-magnitude entry of each eigenvector positive.
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[anchor, np.arange(k)])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs
-    loadings_bar = np.sqrt(n) * vecs
-    loadings_hat = s @ loadings_bar
+    loadings_bar = np.sqrt(n) * _principal_components(x, k)[1]
     factor_diffs = x @ loadings_bar / n
+    loadings_hat = x.T @ factor_diffs / tp  # = S @ loadings_bar
     resid = x - factor_diffs @ loadings_bar.T
     return FactorFit(
         loadings_bar=loadings_bar,
@@ -94,8 +90,7 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
         raise DataError("differenced panel is identically zero")
     penalty = (n + tp) / (n * tp) * np.log(min(n, tp))
     # V(k) = V(0) - sum of the k largest eigenvalues of X'X / (n T').
-    s = x.T @ x / (n * tp)
-    eigvals = np.sort(np.linalg.eigvalsh(s))[::-1]
+    eigvals = _principal_components(x)[0]
     best_k, best_ic = 0, np.log(total)
     running = total
     for k in range(1, k_max + 1):
@@ -105,3 +100,34 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
         if ic < best_ic - 1e-12:
             best_k, best_ic = k, ic
     return best_k
+
+
+def _principal_components(x: np.ndarray, k: int | None = None):
+    """Eigenvalues of S = X'X / (n T') in descending order and, given k >= 1, its k
+    leading unit eigenvectors (n x k, largest-magnitude entry of each positive).
+
+    X is the time-major T' x n difference matrix. The eigenproblem is solved on the
+    smaller of S and XX' / (n T'); the two share their nonzero eigenvalues.
+    """
+    tp, n = x.shape
+    primal = n <= tp
+    gram = (x.T @ x if primal else x @ x.T) / (n * tp)
+    if k is None:
+        return np.sort(np.linalg.eigvalsh(gram))[::-1], None
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    if eigvals[k - 1] <= max(n, tp) * np.finfo(float).eps * eigvals[0]:
+        raise NumericalError(
+            f"factor fit: k={k} exceeds the rank of the differenced panel "
+            f"(eigenvalue {k} is zero to working precision)"
+        )
+    vecs = eigvecs[:, order[:k]]
+    if not primal:
+        vecs = x.T @ vecs
+        vecs /= np.linalg.norm(vecs, axis=0)
+    # Sign convention: largest-magnitude entry of each eigenvector positive.
+    anchor = np.argmax(np.abs(vecs), axis=0)
+    signs = np.sign(vecs[anchor, np.arange(k)])
+    signs[signs == 0] = 1.0
+    return eigvals, vecs * signs

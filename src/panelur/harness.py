@@ -179,7 +179,9 @@ def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
 
 def _requested_workers(workers: int | None) -> int:
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise DataError(f"workers must be a positive integer, got {workers}")
+        return workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         if not env.strip().isdecimal() or int(env) < 1:

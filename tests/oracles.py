@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from panelur.errors import DimensionError
+from panelur.factors import FactorFit
 from panelur.lrv import LrvSet
 from panelur.panel import DiffPanel
 from panelur.statistics import UmpIntermediates
@@ -19,6 +20,23 @@ def cumsum_matrix(t: int) -> np.ndarray:
     if t < 1:
         raise DimensionError("cumsum_matrix needs T >= 1")
     return np.tril(np.ones((t, t)), k=-1)
+
+
+def factor_fit_dense(d: DiffPanel, k: int) -> FactorFit:
+    """Principal components from the literal n x n second-moment matrix S = X'X / (n T')
+    (X time-major), whatever the shape; reference for the dual fit when n > T'."""
+    x = d.values.T
+    tp, n = x.shape
+    s = x.T @ x / (n * tp)
+    eigvals, eigvecs = np.linalg.eigh(s)
+    vecs = eigvecs[:, np.argsort(eigvals)[::-1][:k]]
+    anchor = np.argmax(np.abs(vecs), axis=0)
+    vecs = vecs * np.where(vecs[anchor, np.arange(k)] < 0, -1.0, 1.0)
+    loadings_bar = np.sqrt(n) * vecs
+    factor_diffs = x @ loadings_bar / n
+    return FactorFit(loadings_bar=loadings_bar, loadings_hat=s @ loadings_bar,
+                     factor_diffs=factor_diffs,
+                     residuals=DiffPanel((x - factor_diffs @ loadings_bar.T).T), k=k)
 
 
 def dense_precision(inv_weights, loadings, prior=None) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelur import DgpConfig, analyze, simulate, statistics
 from panelur.cli import load_panel_csv, main, write_panel_csv
@@ -70,6 +74,93 @@ class TestPanelCsv:
         panel = load_panel_csv(str(path))
         assert panel.time_ids == ("1", "2", "10")
         assert list(panel.values[0]) == [1.0, 2.0, 10.0]
+
+    def test_duplicate_row_reports_line_and_key(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("unit,time,value\nA,1,1.0\nA,2,2.0\nA,1,3.0\n")
+        with pytest.raises(DataError, match=r":4: duplicate observation for \('A', '1'\)"):
+            load_panel_csv(str(path))
+
+    def test_wrong_field_count_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("unit,time,value\nA,1,1.0\nA,2\n")
+        with pytest.raises(DataError, match=":3: expected 3 fields, got 2"):
+            load_panel_csv(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,value\n\nA,1,1.0\n   \nA,2,2.0\n\n")
+        panel = load_panel_csv(str(path))
+        assert panel.values.tolist() == [[1.0, 2.0]]
+
+    def test_whitespace_around_fields_stripped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,value\n A , 1 , 1.5 \nA,2,2.5\n")
+        panel = load_panel_csv(str(path))
+        assert panel.unit_ids == ("A",)
+        assert panel.time_ids == ("1", "2")
+        assert panel.values.tolist() == [[1.5, 2.5]]
+
+    def test_quoted_label_with_comma(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('unit,time,value\n"Smith, J",1,1.0\n"Smith, J",2,2.0\n')
+        panel = load_panel_csv(str(path))
+        assert panel.unit_ids == ("Smith, J",)
+
+    def test_unit_order_by_first_appearance(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,value\nz,2,1.0\na,1,2.0\nm,2,3.0\n"
+                        "a,2,4.0\nz,1,5.0\nm,1,6.0\n")
+        panel = load_panel_csv(str(path))
+        assert panel.unit_ids == ("z", "a", "m")
+        assert panel.values.tolist() == [[5.0, 1.0], [2.0, 4.0], [6.0, 3.0]]
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("unit,time,value\nA,1,1.0\nA,2,oops\nA,1,3.0\n")
+        with pytest.raises(DataError, match=":3: non-numeric value 'oops'"):
+            load_panel_csv(str(path))
+
+    def test_duplicate_line_counts_blank_rows(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("unit,time,value\nA,1,1.0\n\n  \nA,2,2.0\n\nA,2,3.0\nB,1,4.0\n")
+        with pytest.raises(DataError, match=r":7: duplicate observation for \('A', '2'\)"):
+            load_panel_csv(str(path))
+
+    def test_earlier_duplicate_beats_later_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("unit,time,value\nA,1,1.0\n A ,1,2.0\nA,2,oops\nA,3\n")
+        with pytest.raises(DataError, match=r":3: duplicate observation for \('A', '1'\)"):
+            load_panel_csv(str(path))
+
+    def test_header_only_has_no_observations(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("unit,time,value\n")
+        with pytest.raises(DataError, match="no observations"):
+            load_panel_csv(str(path))
+
+    @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_rows_roundtrip(self, n, t, seed):
+        rng = np.random.default_rng(seed)
+        panel = Panel(rng.normal(size=(n, t)) * 10.0 ** rng.integers(-8, 8, size=(n, t)),
+                      unit_ids=tuple(f"u{i}" for i in range(n)),
+                      time_ids=tuple(str(j) for j in range(1, t + 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            write_panel_csv(path, panel)
+            with open(path) as fh:
+                header, *rows = fh.read().splitlines()
+            rows = [rows[k] for k in rng.permutation(len(rows))]
+            with open(path, "w") as fh:
+                fh.write("\n".join([header, *rows]) + "\n")
+            back = load_panel_csv(path)
+        # Units come back in order of first appearance, times in label order.
+        first_seen = tuple(dict.fromkeys(row.split(",")[0] for row in rows))
+        order = [panel.unit_ids.index(unit) for unit in first_seen]
+        assert back.unit_ids == first_seen
+        assert back.time_ids == panel.time_ids
+        assert np.array_equal(back.values, panel.values[order])
 
 
 class TestSimulateAndTest:
@@ -315,6 +406,16 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert main(["simulate", str(path), str(out)]) == 2
         assert "unknown simulation config field(s): 'k', 'seeed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_invalid_workers_argument(self, tmp_path, capsys, workers):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"sizes": [[10, 25]], "replications": 1,
+                                    "lrv": {"prewhiten": False}}))
+        out = tmp_path / "mc.csv"
+        assert main(["mc", str(path), str(out), "--workers", workers]) == 2
+        assert f"workers must be a positive integer, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_workers_env(self, tmp_path, monkeypatch, capsys):

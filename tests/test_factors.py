@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from panelur import DiffPanel, DimensionError, estimate_factors, select_num_factors
+from panelur import DiffPanel, DimensionError, NumericalError, estimate_factors, select_num_factors
+
+from oracles import factor_fit_dense
 
 
 def _power_iteration_top_eigs(s, k, iters=5000, seed=0):
@@ -31,6 +33,27 @@ def _random_diff(n, t, seed=0, scale=1.0):
     return DiffPanel(scale * rng.normal(size=(n, t)))
 
 
+def _check_eigen_relation(n, tp):
+    d = _random_diff(n, tp, seed=2)
+    s = d.values @ d.values.T / (n * tp)
+    k = 2
+    fit = estimate_factors(d, k)
+    pairs = _power_iteration_top_eigs(s, k, seed=3)
+    for j, (lam, vec) in enumerate(pairs):
+        col = fit.loadings_bar[:, j] / np.sqrt(n)
+        assert abs(abs(col @ vec) - 1.0) < 1e-8
+        assert np.allclose(s @ col, lam * col, atol=1e-8)
+
+
+def _check_orthonormality(n, tp):
+    d = _random_diff(n, tp, seed=4)
+    fit = estimate_factors(d, 3)
+    gram = fit.loadings_bar.T @ fit.loadings_bar / n
+    assert np.allclose(gram, np.eye(3), atol=1e-8)
+    cross = fit.loadings_bar.T @ fit.residuals.values
+    assert np.abs(cross).max() < 1e-8
+
+
 class TestEstimateFactors:
     def test_exact_one_factor(self):
         f = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
@@ -46,25 +69,16 @@ class TestEstimateFactors:
         assert np.abs(fit.residuals.values).max() < 1e-10
 
     def test_eigen_relation_against_power_iteration(self):
-        d = _random_diff(4, 50, seed=2)
-        n, tp = d.values.shape
-        s = d.values @ d.values.T / (n * tp)
-        k = 2
-        fit = estimate_factors(d, k)
-        pairs = _power_iteration_top_eigs(s, k, seed=3)
-        for j, (lam, vec) in enumerate(pairs):
-            col = fit.loadings_bar[:, j] / np.sqrt(n)
-            assert abs(abs(col @ vec) - 1.0) < 1e-8
-            assert np.allclose(s @ col, lam * col, atol=1e-8)
+        _check_eigen_relation(4, 50)
+
+    def test_eigen_relation_dual_shape(self):
+        _check_eigen_relation(40, 12)
 
     def test_orthonormality_and_residual_orthogonality(self):
-        d = _random_diff(8, 40, seed=4)
-        fit = estimate_factors(d, 3)
-        n = 8
-        gram = fit.loadings_bar.T @ fit.loadings_bar / n
-        assert np.allclose(gram, np.eye(3), atol=1e-8)
-        cross = fit.loadings_bar.T @ fit.residuals.values
-        assert np.abs(cross).max() < 1e-8
+        _check_orthonormality(8, 40)
+
+    def test_orthonormality_dual_shape(self):
+        _check_orthonormality(50, 15)
 
     def test_k_zero_returns_input(self):
         d = _random_diff(5, 20, seed=5)
@@ -104,6 +118,62 @@ class TestEstimateFactors:
             estimate_factors(d, 5)
         with pytest.raises(DimensionError):
             estimate_factors(d, -1)
+
+
+def _factor_diff(n, tp, k, seed):
+    """k factors of decreasing strength plus unit noise, unit-major."""
+    rng = np.random.default_rng(seed)
+    common = rng.normal(size=(n, k)) * np.arange(k, 0, -1) @ rng.normal(size=(k, tp))
+    return DiffPanel(common + rng.normal(size=(n, tp)))
+
+
+# n > T': the fit decomposes the T' x T' Gram matrix instead of the n x n one.
+DUAL_SHAPES = [(30, 10), (120, 40), (51, 50), (300, 7)]
+
+
+class TestDualFit:
+    @pytest.mark.parametrize("n, tp", DUAL_SHAPES)
+    @pytest.mark.parametrize("factors", [0, 2])
+    def test_matches_dense_fit(self, n, tp, factors):
+        d = _factor_diff(n, tp, factors, seed=n + tp) if factors else _random_diff(n, tp, seed=n)
+        for k in (1, 3):
+            fit, ref = estimate_factors(d, k), factor_fit_dense(d, k)
+            for got, want in [(fit.loadings_bar, ref.loadings_bar),
+                              (fit.loadings_hat, ref.loadings_hat),
+                              (fit.factor_diffs, ref.factor_diffs),
+                              (fit.residuals.values, ref.residuals.values)]:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+            anchor = np.argmax(np.abs(fit.loadings_bar), axis=0)
+            assert np.all(fit.loadings_bar[anchor, np.arange(k)] > 0)
+            assert np.array_equal(np.sign(fit.loadings_bar[anchor, np.arange(k)]),
+                                  np.sign(ref.loadings_bar[anchor, np.arange(k)]))
+
+    @pytest.mark.parametrize("n, tp", DUAL_SHAPES)
+    @pytest.mark.parametrize("factors", [0, 1, 3])
+    def test_select_matches_dense_residuals(self, n, tp, factors):
+        d = _factor_diff(n, tp, factors, seed=7 * n + tp) if factors else _random_diff(n, tp)
+        k_max = min(5, tp)
+        penalty = (n + tp) / (n * tp) * np.log(min(n, tp))
+        ics = [np.log(np.mean(d.values ** 2))]
+        for k in range(1, k_max + 1):
+            vk = np.mean(factor_fit_dense(d, k).residuals.values ** 2)
+            ics.append(np.log(vk) + k * penalty)
+        assert select_num_factors(d, k_max) == int(np.argmin(ics))
+
+
+class TestRankGuard:
+    @pytest.mark.parametrize("n, distinct, copies", [(40, 3, 4), (6, 3, 8)])
+    def test_k_beyond_rank_raises(self, n, distinct, copies):
+        # T' = distinct * copies; n > T' in the first case, n <= T' in the second.
+        base = np.random.default_rng(12).normal(size=(n, distinct))
+        d = DiffPanel(np.tile(base, copies))
+        fit = estimate_factors(d, distinct)
+        assert np.all(np.isfinite(fit.loadings_bar))
+        assert np.abs(fit.residuals.values).max() < 1e-10
+        with pytest.raises(NumericalError, match=f"factor fit: k={distinct + 1} exceeds "
+                                                 "the rank of the differenced panel"):
+            estimate_factors(d, distinct + 1)
 
 
 class TestSelectNumFactors:

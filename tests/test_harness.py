@@ -29,6 +29,10 @@ def _rates(rows):
     return {(r.framework, r.h, r.test): r.rejection_rate for r in rows}
 
 
+def _must_not_run(*args):
+    raise AssertionError("a replication ran")
+
+
 def _openblas_threads():
     return max(get_threads() for _, get_threads in harness._openblas_controls())
 
@@ -160,6 +164,14 @@ class TestRun:
         with pytest.raises(DataError, match=f"{WORKERS_ENV_VAR} must be a positive integer, "
                                             f"got '{value}'"):
             harness.worker_count(_experiment())
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_argument_must_be_positive(self, monkeypatch, workers):
+        monkeypatch.setattr(harness, "_run_chunk", _must_not_run)
+        with pytest.raises(DataError, match=f"workers must be a positive integer, got {workers}"):
+            run(_experiment(), workers=workers)
+        with pytest.raises(DataError, match="workers must be a positive integer"):
+            harness.worker_count(_experiment(), workers)
 
     def test_workers_env_positive_integer_taken(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")

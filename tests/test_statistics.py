@@ -1,6 +1,7 @@
 """Test statistics: hand-checked values, brute-force oracles, invariance suites."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,19 @@ class TestAnalyze:
         with pytest.raises(DataError, match=r"alpha must lie in \(0, 1\)"):
             analyze(sim.panel, k=2, alpha=alpha)
 
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_wide_panel_forms_no_unit_by_unit_array(self, k):
+        n = 1500
+        panel = simulate(DgpConfig(framework="PANIC", n=n, T=21, h=0.0, K=2,
+                                   lrv_ratio=0.8, seed=17)).panel
+        tracemalloc.start()
+        try:
+            analyze(panel, k=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 class TestNullDistributionSmoke:
     def test_known_nuisance_calibration(self):
