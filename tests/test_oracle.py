@@ -253,3 +253,48 @@ class TestConvergenceReport:
                  + by_q["gap_smw_vs_star"]["median_abs_diff"]
                  + by_q["gap_star_vs_simplified"]["median_abs_diff"])
         assert chain < 0.2 + 0.2 + 0.15
+
+
+# lan_convergence_report([(6, 20), (8, 30)], seeds=5, base_seed=4) to 13 decimals: per size,
+# each quantity's (mean, variance, skew, kurtosis), or the median_abs_diff of each gap.
+_PINNED_REPORT = {
+    (6, 20): {
+        "delta_panic": (0.1639469677458, 0.3800030156334, -0.2976431080995, 2.0488555676024),
+        "delta_simplified": (0.1272217267274, 0.365909850933, -0.705642600458, 2.3734055505269),
+        "delta_mp": (-0.145569070881, 0.3595304235615, 0.7488988037192, 2.5418850205413),
+        "delta_mp_smw": (-0.1750359502986, 0.417616042384, 0.4764739069153, 2.2364832972323),
+        "delta_star": (-0.33836475207, 0.1597939597784, -0.1043121827881, 1.9632722035737),
+        "j_panic": (0.4493799009167, 0.0314976897841, 0.4721304983314, 2.3421383137074),
+        "j_mp": (0.3533295528833, 0.0499005880432, 1.1683104371833, 2.8026145131694),
+        "gap_panic_vs_simplified": 0.1161976341647,
+        "gap_mp_vs_smw": 0.1010789641719,
+        "gap_smw_vs_star": 0.0690036615507,
+        "gap_star_vs_simplified": 0.2963168473229,
+    },
+    (8, 30): {
+        "delta_panic": (0.1845729508907, 0.348748781391, 0.5209329430153, 2.0172266994045),
+        "delta_simplified": (0.1835034232216, 0.3555910910128, 0.6263367515485, 2.1684632071565),
+        "delta_mp": (-0.1447182616354, 0.0509350171677, -0.1935395728503, 1.3036165554363),
+        "delta_mp_smw": (-0.1284268007112, 0.0569194658332, -0.2219389741002, 1.5721462530445),
+        "delta_star": (-0.0791785636819, 0.0536726765984, -0.125954205943, 1.4954861528853),
+        "j_panic": (0.5181589301227, 0.0338198477783, 0.9724892506353, 2.7873661406232),
+        "j_mp": (0.4725266385541, 0.0179093909741, 0.7315323039574, 2.6169135190959),
+        "gap_panic_vs_simplified": 0.0359369669816,
+        "gap_mp_vs_smw": 0.0395664596257,
+        "gap_smw_vs_star": 0.0444082303926,
+        "gap_star_vs_simplified": 0.2189586971353,
+    },
+}
+
+
+def test_report_values_pinned():
+    rows = lan_convergence_report([(6, 20), (8, 30)], seeds=5, base_seed=4)
+    assert [(r["n"], r["T"], r["quantity"], r["seeds"]) for r in rows] == [
+        (*size, quantity, 5) for size, table in _PINNED_REPORT.items() for quantity in table]
+    for row in rows:
+        want = _PINNED_REPORT[row["n"], row["T"]][row["quantity"]]
+        want = (math.nan, *want) if isinstance(want, tuple) else (want, *[math.nan] * 4)
+        for column, value in zip(REPORT_COLUMNS[3:8], want):
+            got = row[column]
+            assert (math.isnan(got) if math.isnan(value)
+                    else abs(got - value) <= 1e-12 * max(1.0, abs(value))), (row, column)
