@@ -37,25 +37,23 @@ def load_panel_csv(path: str) -> Panel:
 
     Blank rows are skipped and fields stripped. Units keep the order of their
     first row; times are sorted, numerically where the labels are numbers. A
-    faulty file raises DataError naming its first faulty line.
+    faulty file raises DataError naming the physical line on which its first
+    faulty record starts.
     """
     units: list = []
     times: list = []
     values: list = []
-    blank_lines: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:3]] != ["unit", "time", "value"]:
             raise DataError(f"{path}: expected header 'unit,time,value'")
         add_unit, add_time, add_value = units.append, times.append, values.append
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != 3:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    blank_lines.append(lineno)
+                if _is_blank(row):
                     continue
-                _raise_at(path, lineno, f"expected 3 fields, got {len(row)}",
-                          units, times, blank_lines)
+                _raise_at(path, f"expected 3 fields, got {len(row)}", units, times)
             unit, time_label, value = row
             try:
                 add_value(float(value))
@@ -63,11 +61,10 @@ def load_panel_csv(path: str) -> Panel:
                 try:  # str.strip() removes a few characters that float() rejects
                     add_value(float(value.strip()))
                 except ValueError:
-                    _raise_at(path, lineno, f"non-numeric value {value.strip()!r}",
-                              units, times, blank_lines)
+                    _raise_at(path, f"non-numeric value {value.strip()!r}", units, times)
             add_unit(unit)
             add_time(time_label)
-    unit_ids, time_ids, rows = _index_rows(path, units, times, blank_lines)
+    unit_ids, time_ids, rows = _index_rows(path, units, times)
     if not values:
         raise DataError(f"{path}: no observations")
     if len(values) != len(unit_ids) * len(time_ids):
@@ -80,14 +77,34 @@ def load_panel_csv(path: str) -> Panel:
     return Panel(grid, unit_ids=unit_ids, time_ids=time_ids)
 
 
-def _raise_at(path: str, lineno: int, fault: str, units: list, times: list,
-              blank_lines: list):
-    """Raise the fault found at lineno, unless an earlier row repeats a cell."""
-    _index_rows(path, units, times, blank_lines)
-    raise DataError(f"{path}:{lineno}: {fault}")
+def _is_blank(row: list) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _index_rows(path: str, units: list, times: list, blank_lines: list):
+def _record_line(path: str, row: int) -> int:
+    """The physical line on which the row-th (from 0) non-blank record after the header
+    starts. Called only on a fault, so the loader's loop keeps no line numbers."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for record in reader:
+            if not _is_blank(record):
+                if row == 0:
+                    break
+                row -= 1
+            start = reader.line_num + 1
+    return start
+
+
+def _raise_at(path: str, fault: str, units: list, times: list):
+    """Raise the fault of the record after the rows read so far, unless an earlier row
+    repeats a cell."""
+    _index_rows(path, units, times)
+    raise DataError(f"{path}:{_record_line(path, len(units))}: {fault}")
+
+
+def _index_rows(path: str, units: list, times: list):
     """Unit labels (first-seen order), time labels (sorted) and each row's (unit, time)
     index arrays. Raises DataError at the first row, in file order, that repeats a cell."""
     unit_ids, unit_idx = _label_codes(units)
@@ -97,13 +114,8 @@ def _index_rows(path: str, units: list, times: list, blank_lines: list):
     repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
     if repeats.size:
         row = int(repeats.min())
-        lineno = row + 2
-        for blank in blank_lines:  # ascending: each blank line before the row shifts it
-            if blank > lineno:
-                break
-            lineno += 1
         key = (unit_ids[unit_idx[row]], time_ids[time_idx[row]])
-        raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
+        raise DataError(f"{path}:{_record_line(path, row)}: duplicate observation for {key}")
     return unit_ids, time_ids, (unit_idx, time_idx)
 
 
@@ -310,6 +322,8 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.seeds < 2:  # every check rests on a sample variance
+        raise DataError(f"--seeds must be at least 2, got {args.seeds}")
     failures = []
 
     def check(label: str, ok: bool):
@@ -318,7 +332,7 @@ def _cmd_selftest(args) -> int:
             failures.append(label)
 
     rows = lan_convergence_report(sizes=[(10, 50), (20, 100)], seeds=args.seeds,
-                                  base_seed=args.seed or 0)
+                                  base_seed=args.seed)
     by_size = {}
     for row in rows:
         by_size.setdefault((row["n"], row["T"]), {})[row["quantity"]] = row

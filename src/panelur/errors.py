@@ -16,7 +16,3 @@ class DimensionError(DataError):
 
 class NumericalError(RuntimeError):
     """A numerically degenerate situation (singular matrix, zero denominator)."""
-
-
-class ResourceError(RuntimeError):
-    """Problem size exceeds a guard intended for exact dense computations."""

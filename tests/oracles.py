@@ -1,14 +1,27 @@
-"""Reference implementations the tests compare the package against."""
+"""Reference implementations the tests compare the package against.
+
+Among them are the exact central sequences under known nuisance parameters
+(`OracleNuisance`) and their simplifications. Dense exact operations are
+guarded at n*T <= 4000; the report's structured solver is checked against them.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from panelur.errors import DimensionError
+from panelur.errors import DataError, DimensionError, NumericalError
 from panelur.factors import FactorFit
 from panelur.lrv import LrvSet
-from panelur.panel import DiffPanel
-from panelur.statistics import UmpIntermediates
+from panelur.oracle import _approx_lrv, _approx_oslrv, _correction, _simplified_delta
+from panelur.panel import DiffPanel, lagged_cumsum
+from panelur.statistics import PrecisionMatrix, UmpIntermediates
+
+_DENSE_GUARD = 4000
+
+
+class ResourceError(RuntimeError):
+    """Problem size exceeds the guard for exact dense computations."""
 
 
 def cumsum_matrix(t: int) -> np.ndarray:
@@ -88,3 +101,162 @@ def mp_statistics_dense(y: np.ndarray, loadings, lrvs: LrvSet) -> tuple[float, f
     scale = math.sqrt(n) * t_dim * ((cross - n * t_dim * lrvs.pooled_delta) / denom - 1.0)
     return (scale / math.sqrt(2.0 * phi4 / omega2 ** 2),
             scale * math.sqrt(denom / (n * t_dim * t_dim) * omega2 / phi4))
+
+
+@dataclass(frozen=True)
+class OracleNuisance:
+    """Known nuisance parameters: innovation covariances, loadings, approximate LRVs."""
+
+    sigma_eta: tuple
+    sigma_f: tuple
+    loadings: np.ndarray
+    lrv_eta: np.ndarray
+    oslrv_eta: np.ndarray
+    lrv_f: np.ndarray
+
+    @classmethod
+    def from_covariances(cls, sigma_eta, sigma_f, loadings) -> "OracleNuisance":
+        sigma_eta = tuple(np.asarray(s, dtype=float) for s in sigma_eta)
+        sigma_f = tuple(np.asarray(s, dtype=float) for s in sigma_f)
+        lam = np.asarray(loadings, dtype=float)
+        if lam.ndim != 2 or lam.shape[0] != len(sigma_eta) or lam.shape[1] != len(sigma_f):
+            raise DimensionError("loadings must be n x K matching the covariance lists")
+        t = sigma_eta[0].shape[0]
+        for s in (*sigma_eta, *sigma_f):
+            if s.shape != (t, t):
+                raise DimensionError("all covariance matrices must share one T x T shape")
+            if not np.allclose(s, s.T, atol=1e-10):
+                raise DataError("covariance matrix is not symmetric")
+            try:
+                np.linalg.cholesky(s)
+            except np.linalg.LinAlgError as exc:
+                raise DataError("covariance matrix is not positive definite") from exc
+        return cls(
+            sigma_eta=sigma_eta,
+            sigma_f=sigma_f,
+            loadings=lam,
+            lrv_eta=np.array([_approx_lrv(s) for s in sigma_eta]),
+            oslrv_eta=np.array([_approx_oslrv(s) for s in sigma_eta]),
+            lrv_f=np.array([_approx_lrv(s) for s in sigma_f]),
+        )
+
+    @property
+    def n_units(self) -> int:
+        return len(self.sigma_eta)
+
+    @property
+    def k(self) -> int:
+        return len(self.sigma_f)
+
+    @property
+    def t_dim(self) -> int:
+        return self.sigma_eta[0].shape[0]
+
+
+def _check_dims(d: DiffPanel, nu: OracleNuisance) -> tuple[int, int]:
+    n, t = d.values.shape
+    if n != nu.n_units or t != nu.t_dim:
+        raise DimensionError(
+            f"panel is {n} x {t} but nuisance describes {nu.n_units} units over {nu.t_dim} periods"
+        )
+    return n, t
+
+
+def delta_panic_exact(d: DiffPanel, nu: OracleNuisance) -> tuple[float, float]:
+    """Exact central sequence and information with the true innovation covariances."""
+    n, t = _check_dims(d, nu)
+    w = lagged_cumsum(d.values)
+    delta = 0.0
+    info = 0.0
+    for i in range(n):
+        try:
+            solved = np.linalg.solve(nu.sigma_eta[i], np.column_stack([d.values[i], w[i]]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular innovation covariance for unit {i}") from exc
+        delta += float(w[i] @ solved[:, 0])
+        info += float(w[i] @ solved[:, 1])
+    return delta / (math.sqrt(n) * t), info / (n * t * t)
+
+
+def _sigma_epsilon_dense(nu: OracleNuisance) -> np.ndarray:
+    n, t, k = nu.n_units, nu.t_dim, nu.k
+    out = np.zeros((n * t, n * t))
+    for i in range(n):
+        out[i * t : (i + 1) * t, i * t : (i + 1) * t] = nu.sigma_eta[i]
+    for j in range(k):
+        lam = nu.loadings[:, j]
+        out += np.kron(np.outer(lam, lam), nu.sigma_f[j])
+    return out
+
+
+def delta_mp_exact(d: DiffPanel, nu: OracleNuisance) -> tuple[float, float]:
+    """Exact central sequence and information with the full innovation covariance.
+
+    Builds the dense nT x nT covariance, so it is guarded at nT <= 4000.
+    """
+    n, t = _check_dims(d, nu)
+    if n * t > _DENSE_GUARD:
+        raise ResourceError(f"nT = {n * t} exceeds the dense guard {_DENSE_GUARD}")
+    sigma = _sigma_epsilon_dense(nu)
+    x = d.values.reshape(-1)
+    w = lagged_cumsum(d.values).reshape(-1)
+    try:
+        solved = np.linalg.solve(sigma, np.column_stack([x, w]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular full innovation covariance") from exc
+    delta = float(w @ solved[:, 0]) / (math.sqrt(n) * t)
+    info = float(w @ solved[:, 1]) / (n * t * t)
+    return delta, info
+
+
+def _precision(nu: OracleNuisance, form: str) -> PrecisionMatrix:
+    """Inverse LRVs ('diag'), minus the factor space as the SMW inverse ('smw') or
+    the full projection ('star')."""
+    if np.any(nu.lrv_eta <= 0.0):
+        raise NumericalError("nonpositive approximate long-run variance")
+    if form == "diag":
+        return PrecisionMatrix(1.0 / nu.lrv_eta)
+    prior = None
+    if form == "smw":
+        if np.any(nu.lrv_f <= 0.0):
+            raise NumericalError("nonpositive factor long-run variance in the SMW form")
+        prior = 1.0 / nu.lrv_f
+    return PrecisionMatrix(1.0 / nu.lrv_eta, nu.loadings, prior)
+
+
+def _oracle_delta(d: DiffPanel, nu: OracleNuisance, form: str) -> float:
+    _check_dims(d, nu)
+    return _simplified_delta(d.values, _precision(nu, form),
+                             _correction(nu.oslrv_eta, nu.lrv_eta))
+
+
+def delta_simplified(d: DiffPanel, nu: OracleNuisance) -> float:
+    """Central sequence with covariances replaced by approximate long-run variances."""
+    return _oracle_delta(d, nu, "diag")
+
+
+def delta_mp_smw(d: DiffPanel, nu: OracleNuisance) -> float:
+    """Simplified central sequence with the SMW inverse of the long-run proxy."""
+    return _oracle_delta(d, nu, "smw")
+
+
+def delta_star(d: DiffPanel, nu: OracleNuisance) -> float:
+    """Central sequence with the factor directions projected out entirely."""
+    return _oracle_delta(d, nu, "star")
+
+
+def psi_epsilon_inverse(nu: OracleNuisance, method: str = "smw") -> np.ndarray:
+    """Inverse of the cross-sectional long-run covariance proxy.
+
+    'smw' evaluates the rank-K Sherman-Morrison-Woodbury form, 'direct'
+    inverts the n x n matrix explicitly; both describe the Kronecker factor
+    acting on the unit dimension.
+    """
+    if method == "smw":
+        return _precision(nu, "smw").matrix
+    if method != "direct":
+        raise ValueError(f"unknown method {method!r}")
+    if np.any(nu.lrv_eta <= 0.0):
+        raise NumericalError("nonpositive approximate long-run variance")
+    lam = nu.loadings
+    return np.linalg.inv(lam @ np.diag(nu.lrv_f) @ lam.T + np.diag(nu.lrv_eta))

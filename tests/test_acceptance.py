@@ -10,13 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cumsum_matrix, ump_statistics_naive
-from panelur import (DgpConfig, DiffPanel, Experiment, LrvConfig, LrvSet,
-                     OracleNuisance, Panel, bn_tests, delta_panic_exact, difference,
-                     estimate_factors, innovation_covariance, lan_convergence_report,
-                     local_power_mp_bn, mp_tests, power_envelope, precision_matrix,
-                     psi_epsilon_inverse, run, simulate, t_ump, t_ump_emp,
-                     ump_statistics)
+from oracles import (OracleNuisance, cumsum_matrix, delta_panic_exact, psi_epsilon_inverse,
+                     ump_statistics_naive)
+from panelur import (DgpConfig, DiffPanel, Experiment, LrvConfig, LrvSet, Panel, bn_tests,
+                     difference, estimate_factors, innovation_covariance,
+                     lan_convergence_report, local_power_mp_bn, mp_tests, power_envelope,
+                     precision_matrix, run, simulate, t_ump, t_ump_emp, ump_statistics)
 from scipy.linalg import block_diag
 
 ACCEPTANCE_CELL = dict(sizes=((50, 100),), ratios=(0.8,), innovations=("iid",),

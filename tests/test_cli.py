@@ -133,6 +133,18 @@ class TestPanelCsv:
         with pytest.raises(DataError, match=r":3: duplicate observation for \('A', '1'\)"):
             load_panel_csv(str(path))
 
+    def test_parse_error_line_counts_multiline_records(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('unit,time,value\n"a\nb",1,1.0\n"a\nb",2,1.0\nc,1,oops\n')
+        with pytest.raises(DataError, match=":6: non-numeric value 'oops'"):
+            load_panel_csv(str(path))
+
+    def test_duplicate_line_counts_multiline_records(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text('unit,time,value\n"a\nb",1,1.0\n"a\nb",2,1.0\nc,1,1.0\nc,1,2.0\n')
+        with pytest.raises(DataError, match=r":7: duplicate observation for \('c', '1'\)"):
+            load_panel_csv(str(path))
+
     def test_header_only_has_no_observations(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("unit,time,value\n")
@@ -329,6 +341,13 @@ class TestSelftestCommand:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["quantity"] for r in rows} >= {"delta_simplified", "gap_mp_vs_smw"}
+
+    @pytest.mark.parametrize("seeds", ["0", "-3", "1"])
+    def test_fewer_than_two_seeds_rejected(self, capsys, seeds):
+        assert main(["selftest", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "--seeds must be at least 2" in captured.err
+        assert captured.out == ""
 
 
 class TestExitCodes:

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from oracles import cumsum_matrix
-from panelur import (DataError, DiffPanel, OracleNuisance, ResourceError,
-                     delta_mp_exact, delta_mp_smw, delta_panic_exact, delta_simplified,
-                     delta_star, innovation_covariance, lan_convergence_report,
+from oracles import (OracleNuisance, ResourceError, cumsum_matrix, delta_mp_exact,
+                     delta_mp_smw, delta_panic_exact, delta_simplified, delta_star,
                      psi_epsilon_inverse)
+from panelur import DataError, DiffPanel, innovation_covariance, lan_convergence_report
 from panelur.oracle import REPORT_COLUMNS, _ScaledCellSolver
 
 
@@ -206,14 +205,26 @@ class TestScaledSolverAgreesWithDenseOps:
                                              [sigma_f], loadings)
         solver = _ScaledCellSolver(base, scales, loadings, sigma_f)
         dy = rng.normal(size=(n, t))
-        lagged = np.zeros_like(dy)
-        lagged[:, 1:] = np.cumsum(dy[:, :-1], axis=1)
-        quad, info = solver.quad_pair(lagged.T, dy.T)
+        delta, info = solver.exact_pair(dy, full=True)
         want_delta, want_info = delta_mp_exact(DiffPanel(dy), nu)
-        assert quad / (math.sqrt(n) * t) == pytest.approx(want_delta, abs=1e-10)
-        assert info / (n * t * t) == pytest.approx(want_info, abs=1e-10)
+        assert delta == pytest.approx(want_delta, abs=1e-10)
+        assert info == pytest.approx(want_info, abs=1e-10)
         assert np.allclose(solver.lrv_eta, nu.lrv_eta, atol=1e-12)
         assert np.allclose(solver.oslrv_eta, nu.oslrv_eta, atol=1e-12)
+
+    def test_idiosyncratic_path(self):
+        n, t, k = 4, 12, 1
+        rng = np.random.default_rng(13)
+        scales = rng.uniform(0.5, 2.0, size=n)
+        loadings = rng.normal(1.0, 1.0, size=(n, k))
+        base = innovation_covariance("ma1", 0.4, t)
+        nu = OracleNuisance.from_covariances([c * base for c in scales], [], np.zeros((n, 0)))
+        solver = _ScaledCellSolver(base, scales, loadings, base)
+        de = rng.normal(size=(n, t))
+        delta, info = solver.exact_pair(de, full=False)
+        want_delta, want_info = delta_panic_exact(DiffPanel(de), nu)
+        assert delta == pytest.approx(want_delta, abs=1e-10)
+        assert info == pytest.approx(want_info, abs=1e-10)
 
 
 class TestConvergenceReport:
