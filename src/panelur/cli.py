@@ -324,6 +324,8 @@ def _cmd_envelope(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.seeds < 2:  # every check rests on a sample variance
         raise DataError(f"--seeds must be at least 2, got {args.seeds}")
+    if args.seed < 0:  # numpy's SeedSequence would reject it mid-report
+        raise DataError(f"--seed must be non-negative, got {args.seed}")
     failures = []
 
     def check(label: str, ok: bool):

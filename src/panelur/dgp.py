@@ -181,21 +181,19 @@ def _simulate_components(config: DgpConfig):
         u = np.ones(n)
     rho_units = 1.0 + config.h * u / (math.sqrt(n) * T)
 
-    if K > 0:
-        f_innov = _innovation_matrix(rng_f, config.factor_spec, K, T,
-                                     np.full(K, innovation_scale(config.factor_spec)))
-        if config.panic_stationary_factors:
-            factors = f_innov
-        else:
-            rho_k = local_rho(n, T, config.h) if config.framework == "MP" else 1.0
-            factors = ar_recursion(f_innov, rho_k)
-    else:
-        factors = np.zeros((0, T))
-
+    f_innov = _innovation_matrix(rng_f, config.factor_spec, K, T,
+                                 np.full(K, innovation_scale(config.factor_spec)))
     unit_scale = innovation_scale(replace(config.idio_spec, target_lrv=1.0))
     eta = _innovation_matrix(rng_eta, config.idio_spec, n, T,
                              unit_scale * np.sqrt(unit_lrvs))
-    idio = ar_recursion(eta, rho_units)
+
+    # One recursion over factor and idiosyncratic rows: rows are independent,
+    # so stacking them changes no bit of either level series.
+    rho_k = local_rho(n, T, config.h) if config.framework == "MP" else 1.0
+    levels = ar_recursion(np.vstack([f_innov, eta]),
+                          np.concatenate([np.full(K, rho_k), rho_units]))
+    factors = f_innov if config.panic_stationary_factors else levels[:K]
+    idio = levels[K:]
 
     z = loadings @ factors + idio
     return z, idio, factors, loadings, unit_lrvs, rho_units

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .panel import DiffPanel, ar_recursion
 
 __all__ = ["LrvConfig", "LrvSet", "estimate_lrv_set"]
@@ -138,16 +139,29 @@ def _kernel_sum(cfg: LrvConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _hannan_rissanen_residuals(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Residuals of a long autoregression, used as innovation proxies."""
+    """Residuals of a long autoregression, used as innovation proxies.
+
+    Row i regresses x_t on x_{t-1}, ..., x_{t-p}. The lagged design is a
+    strided view of x (no copy), and the normal equations, the solve and the
+    fitted values are batched over rows, so the cost is O(rows * T * p^2)
+    flops in a handful of numpy calls, independent of rows in Python steps.
+    """
     rows, length = x.shape
     p = max(4, min(12, length // 10))
     y = x[:, p:]
-    design = np.stack([x[:, p - 1 - j : length - 1 - j] for j in range(p)], axis=2)
-    gram = np.einsum("nti,ntj->nij", design, design)
+    design = sliding_window_view(x[:, : length - 1], p, axis=1)[:, :, ::-1]
+    design_t = design.transpose(0, 2, 1)
+    gram = design_t @ design
     gram += 1e-10 * np.eye(p)[None, :, :] * np.trace(gram, axis1=1, axis2=2)[:, None, None] / p
-    rhs = np.einsum("nti,nt->ni", design, y)
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    resid = y - np.einsum("nti,ni->nt", design, coef)
+    try:
+        coef = np.linalg.solve(gram, design_t @ y[..., None])
+    except np.linalg.LinAlgError:
+        # LAPACK stops at an exactly zero pivot, which makes the determinant 0.
+        units = np.flatnonzero(np.linalg.det(gram) == 0.0).tolist()
+        raise NumericalError(
+            f"LRV prewhitening: singular Hannan-Rissanen long-autoregression design "
+            f"for unit(s) {units}") from None
+    resid = y - (design @ coef)[..., 0]
     return resid, p
 
 

@@ -105,11 +105,21 @@ def ar_recursion(u: np.ndarray, coef, start=0.0) -> np.ndarray:
     """x_t = coef * x_{t-1} + u_t along the last axis of an n x T array.
 
     coef is a scalar or one coefficient per row; start is x_{-1}, zero by
-    default.
+    default. Returns a new C-ordered n x T array; u is never written.
+
+    The recursion is sequential in t, so its cost is T Python-level steps
+    of about half a microsecond each, plus two n x T transposed copies. The
+    steps run on a time-major copy: each is two in-place ufuncs over one
+    contiguous row of n values, with no allocation, and gives the same bits
+    as coef * x_{t-1} + u_t evaluated column by column.
     """
-    out = np.empty(u.shape)
-    level = start
-    for t in range(u.shape[-1]):
-        level = coef * level + u[:, t]
-        out[:, t] = level
-    return out
+    levels = np.array(u.T, dtype=float, order="C")  # a copy even for Fortran-ordered u
+    scaled = np.empty(levels.shape[1:])
+    coef = np.broadcast_to(coef, scaled.shape)
+    multiply, add = np.multiply, np.add  # the loop body is all call overhead
+    prev = start
+    for row in levels:
+        multiply(coef, prev, scaled)
+        add(scaled, row, row)
+        prev = row
+    return np.ascontiguousarray(levels.T)

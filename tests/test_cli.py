@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelur import DgpConfig, analyze, simulate, statistics
+from panelur import DgpConfig, analyze, cli, simulate, statistics
 from panelur.cli import load_panel_csv, main, write_panel_csv
 from panelur.errors import DataError
 from panelur.harness import blas_threads
@@ -347,6 +347,17 @@ class TestSelftestCommand:
         assert main(["selftest", "--seeds", seeds]) == 2
         captured = capsys.readouterr()
         assert "--seeds must be at least 2" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", "-12345"])
+    def test_negative_seed_rejected_before_simulating(self, capsys, monkeypatch, seed):
+        def report(*args, **kwargs):
+            raise AssertionError("the report ran")
+
+        monkeypatch.setattr(cli, "lan_convergence_report", report)
+        assert main(["selftest", "--seed", seed, "--seeds", "2"]) == 2
+        captured = capsys.readouterr()
+        assert f"--seed must be non-negative, got {seed}" in captured.err
         assert captured.out == ""
 
 

@@ -1,6 +1,8 @@
 """Monte Carlo harness: determinism, seeding, parallel equivalence, aggregation."""
 
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -301,3 +303,25 @@ class TestPowerFigureData:
                 assert hi >= lo - 2.0 * (e1 + e2)
             for rec in recs:
                 assert rec["rejection_rate"] <= rec["envelope"] + 3.0 * rec["mc_std_err"]
+
+
+def test_replication_does_not_import_scipy_signal():
+    # scipy.signal alone adds about 40 MiB of resident memory and a quarter
+    # second of import time to every process; the recursions stay in numpy.
+    code = "\n".join([
+        "import sys",
+        "import panelur",
+        "from panelur import Experiment, LrvConfig, harness",
+        "exp = Experiment(frameworks=('MP',), sizes=((10, 60),), ratios=(0.8,),",
+        "                 innovations=('ar1', 'ma1'), h_values=(-10.0,), k=1,",
+        "                 k_known=False, heterogeneous_alternatives=True,",
+        "                 lrv_cfg=LrvConfig(kernel='quadratic_spectral'))",
+        "for cell in exp.cells():",
+        "    harness.run_single(exp, cell, 0)",
+        "print('scipy.signal' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from panelur import (DataError, DiffPanel, InnovationSpec, LrvConfig, estimate_lrv_set,
-                     innovation_scale)
+from panelur import (DataError, DiffPanel, InnovationSpec, LrvConfig, NumericalError,
+                     estimate_lrv_set, innovation_scale)
 
 BARTLETT_NO_PW = LrvConfig(kernel="bartlett", bandwidth="andrews", prewhiten=False)
 
@@ -200,3 +200,19 @@ class TestEstimateLrvSet:
         est = estimate_lrv_set(DiffPanel(values), BARTLETT_NO_PW)
         assert np.all(est.omega2 > 0.0)
         assert est.pooled_omega2 ** 2 <= est.pooled_phi4 * (1.0 + 1e-12)
+
+
+class TestPrewhiteningErrors:
+    @pytest.mark.parametrize("zero_units", [[1], [0, 2]])
+    def test_zero_residual_rows_are_a_numerical_error(self, zero_units):
+        x = np.random.default_rng(31).standard_normal((3, 60))
+        x[zero_units] = 0.0
+        with pytest.raises(NumericalError, match="LRV prewhitening") as caught:
+            estimate_lrv_set(DiffPanel(x), LrvConfig(prewhiten=True))
+        assert f"unit(s) {zero_units}" in str(caught.value)
+
+    def test_zero_rows_without_prewhitening_still_estimate(self):
+        x = np.random.default_rng(31).standard_normal((3, 60))
+        x[1] = 0.0
+        est = estimate_lrv_set(DiffPanel(x), BARTLETT_NO_PW)
+        assert np.all(np.isfinite(est.omega2))

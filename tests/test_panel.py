@@ -132,6 +132,50 @@ class TestArRecursion:
         assert np.array_equal(ar_recursion(u, coef, start=start), expected)
 
 
+def _column_loop(u, coef, start=0.0):
+    """The recursion written column by column: x_t = coef * x_{t-1} + u_t."""
+    out = np.empty(u.shape)
+    level = start
+    for t in range(u.shape[-1]):
+        level = coef * level + u[:, t]
+        out[:, t] = level
+    return out
+
+
+class TestArRecursionInput:
+    @staticmethod
+    def _layouts():
+        raw = np.random.default_rng(21).standard_normal((4, 9))
+        return {"c_order": raw[:, 1:].copy(),
+                "fortran_order": np.asfortranarray(raw[:, 1:]),
+                "non_contiguous": raw[:, 1:]}
+
+    @pytest.mark.parametrize("layout", ["c_order", "fortran_order", "non_contiguous"])
+    @pytest.mark.parametrize("start", [0.0, np.array([1.0, -2.0, 0.5, 3.0])],
+                             ids=["scalar_start", "row_start"])
+    def test_input_unchanged(self, layout, start):
+        u = self._layouts()[layout]
+        before = u.copy()
+        coef = np.array([0.9, -0.5, 1.0, 0.3])
+        out = ar_recursion(u, coef, start=start)
+        assert np.array_equal(u, before)
+        assert not np.shares_memory(out, u)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, _column_loop(before, coef, start))
+
+    @pytest.mark.parametrize("columns", [0, 1])
+    @pytest.mark.parametrize("coef", [0.7, np.array([0.5, -1.0, 1.0])], ids=["scalar", "per_row"])
+    def test_short_inputs_match_loop(self, columns, coef):
+        u = np.arange(3.0 * columns).reshape(3, columns) + 1.0
+        start = np.array([2.0, -1.0, 0.25])
+        out = ar_recursion(u, coef, start=start)
+        assert out.shape == (3, columns)
+        assert np.array_equal(out, _column_loop(u, coef, start))
+
+    def test_docstring_promises_new_array(self):
+        assert "Returns a new" in ar_recursion.__doc__
+
+
 class TestRoundTripProperties:
     # Both transforms preserve length, so the compositions lose the final
     # column; the identities hold exactly on the overlapping columns.
