@@ -9,6 +9,10 @@ original (unfiltered) series.
 
 All internals are vectorized across units: the Monte Carlo harness calls
 these per replication, so the batch path is the hot loop of the package.
+Python-level steps per call: one per autocovariance lag, a fixed handful
+for the batched Hannan-Rissanen regression (O(n T p^2) flops in matmuls
+over a strided view, p <= 12), and T steps of `panel.ar_recursion` for
+each group of units prewhitened with an MA part.
 """
 
 from __future__ import annotations
@@ -142,9 +146,8 @@ def _hannan_rissanen_residuals(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Residuals of a long autoregression, used as innovation proxies.
 
     Row i regresses x_t on x_{t-1}, ..., x_{t-p}. The lagged design is a
-    strided view of x (no copy), and the normal equations, the solve and the
-    fitted values are batched over rows, so the cost is O(rows * T * p^2)
-    flops in a handful of numpy calls, independent of rows in Python steps.
+    strided view of x (no copy); the normal equations, the solve and the
+    fitted values are batched matmuls over rows.
     """
     rows, length = x.shape
     p = max(4, min(12, length // 10))

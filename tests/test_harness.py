@@ -306,8 +306,9 @@ class TestPowerFigureData:
 
 
 def test_replication_does_not_import_scipy_signal():
-    # scipy.signal alone adds about 40 MiB of resident memory and a quarter
-    # second of import time to every process; the recursions stay in numpy.
+    # Importing scipy.signal after panelur adds about 43 MiB of resident
+    # memory and over half a second to every process (2 vCPU x86_64 VM,
+    # scipy 1.17); the recursions stay in numpy.
     code = "\n".join([
         "import sys",
         "import panelur",
