@@ -232,6 +232,8 @@ def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     if args.seed is not None:
+        if args.seed < 0:
+            raise DataError(f"--seed must be non-negative, got {args.seed}")
         cfg["seed"] = args.seed
     sim = simulate(_dgp_from_json(cfg))
     write_panel_csv(args.out, sim.panel)

@@ -84,6 +84,8 @@ class DgpConfig:
             raise DataError("lrv_ratio must lie in (0, 1]")
         if self.panic_stationary_factors and self.framework != "PANIC":
             raise DataError("stationary factors are only meaningful under PANIC")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -126,33 +128,16 @@ def innovation_scale(spec: InnovationSpec) -> float:
     return root / (1.0 + spec.parameter)
 
 
-def _raw_draws(rng: np.random.Generator, distribution: str, shape) -> np.ndarray:
-    """Unit-variance innovation draws."""
+def _draw(rng: np.random.Generator, distribution: str, out: np.ndarray) -> None:
+    """Fill `out` with unit-variance innovation draws."""
     if distribution == "gaussian":
-        return rng.standard_normal(shape)
-    return rng.standard_t(5, shape) * _T5_SCALE
+        rng.standard_normal(out=out)
+    else:
+        np.multiply(rng.standard_t(5, out.shape), _T5_SCALE, out=out)
 
 
-def _innovation_matrix(rng: np.random.Generator, spec: InnovationSpec,
-                       rows: int, T: int, scales: np.ndarray) -> np.ndarray:
-    """rows x T matrix of stationary innovations with per-row std `scales`.
-
-    Series start in their stationary law: the AR(1) start is drawn with the
-    stationary standard deviation, the MA(1) uses one pre-sample draw.
-    """
-    raw = _raw_draws(rng, spec.distribution, (rows, T + 1))
-    sig = scales[:, None]
-    if spec.kind == "iid":
-        return sig * raw[:, 1:]
-    if spec.kind == "ma1":
-        theta = spec.parameter
-        return sig * (raw[:, 1:] + theta * raw[:, :-1])
-    phi = spec.parameter
-    return sig * ar_recursion(raw[:, 1:], phi, start=raw[:, 0] / math.sqrt(1.0 - phi * phi))
-
-
-def _simulate_components(config: DgpConfig):
-    """Generate (Z, E, factors F, loadings, per-unit lrvs, rho_i) for a config.
+def _components(config: DgpConfig):
+    """(loadings, per-unit lrvs, rho_i, factor and idiosyncratic innovation rngs).
 
     Sub-stream order is fixed: loadings, idiosyncratic LRV draws,
     heterogeneous-alternative multipliers, factor innovations, idiosyncratic
@@ -180,31 +165,66 @@ def _simulate_components(config: DgpConfig):
     else:
         u = np.ones(n)
     rho_units = 1.0 + config.h * u / (math.sqrt(n) * T)
+    return loadings, unit_lrvs, rho_units, rng_f, rng_eta
 
-    f_innov = _innovation_matrix(rng_f, config.factor_spec, K, T,
-                                 np.full(K, innovation_scale(config.factor_spec)))
-    unit_scale = innovation_scale(replace(config.idio_spec, target_lrv=1.0))
-    eta = _innovation_matrix(rng_eta, config.idio_spec, n, T,
-                             unit_scale * np.sqrt(unit_lrvs))
 
-    # One recursion over factor and idiosyncratic rows: rows are independent,
-    # so stacking them changes no bit of either level series.
-    rho_k = local_rho(n, T, config.h) if config.framework == "MP" else 1.0
-    levels = ar_recursion(np.vstack([f_innov, eta]),
-                          np.concatenate([np.full(K, rho_k), rho_units]))
-    factors = f_innov if config.panic_stationary_factors else levels[:K]
-    idio = levels[K:]
+def simulate_many(configs) -> list[SimulatedPanel]:
+    """Simulate panels of one length T; entry i equals `simulate(configs[i])` bit for bit.
 
-    z = loadings @ factors + idio
-    return z, idio, factors, loadings, unit_lrvs, rho_units
+    Every row (K factors, then n units, config after config) draws T + 1
+    unit-variance values into one buffer. The stationary innovations start
+    in their stationary law: an AR(1) row starts from a draw scaled to the
+    stationary standard deviation, an MA(1) row uses one pre-sample draw.
+    The AR(1) innovation filter and the level recursion each run as one
+    `ar_recursion` call over all rows. Rows are independent and every step
+    is elementwise, so stacking changes no bit; a row of another kind takes
+    coefficient 0 (MA or AR part), which adds exact zeros.
+    """
+    configs = list(configs)
+    T = configs[0].T
+    if any(c.T != T for c in configs):
+        raise DataError("simulate_many needs configs of one length T")
+    parts = [_components(c) for c in configs]
+    rows = sum(c.K + c.n for c in configs)
+    raw = np.empty((rows, T + 1))
+    sig, theta, phi, rho = (np.zeros(rows) for _ in range(4))
+    top = 0
+    for c, (_, unit_lrvs, rho_units, rng_f, rng_eta) in zip(configs, parts):
+        unit_scale = innovation_scale(replace(c.idio_spec, target_lrv=1.0))
+        rho_k = local_rho(c.n, T, c.h) if c.framework == "MP" else 1.0
+        for count, spec, rng, scales, coefs in (
+                (c.K, c.factor_spec, rng_f, innovation_scale(c.factor_spec), rho_k),
+                (c.n, c.idio_spec, rng_eta, unit_scale * np.sqrt(unit_lrvs), rho_units)):
+            block = slice(top, top + count)
+            top = block.stop
+            _draw(rng, spec.distribution, raw[block])
+            sig[block], rho[block] = scales, coefs
+            if spec.kind == "ma1":
+                theta[block] = spec.parameter
+            elif spec.kind == "ar1":
+                phi[block] = spec.parameter
+
+    innov = raw[:, 1:]
+    if theta.any():
+        innov = innov + theta[:, None] * raw[:, :-1]
+    if phi.any():
+        innov = ar_recursion(innov, phi, start=raw[:, 0] / np.sqrt(1.0 - phi * phi))
+    innov = sig[:, None] * innov
+    del raw
+    levels = ar_recursion(innov, rho)
+
+    sims = []
+    top = 0
+    for c, (loadings, unit_lrvs, rho_units, _, _) in zip(configs, parts):
+        f_rows = slice(top, top + c.K)
+        top = f_rows.stop + c.n
+        factors = innov[f_rows] if c.panic_stationary_factors else levels[f_rows]
+        z = loadings @ factors + levels[f_rows.stop:top]
+        sims.append(SimulatedPanel(panel=Panel(z), true_loadings=loadings,
+                                   true_lrvs=unit_lrvs, rho_used=rho_units))
+    return sims
 
 
 def simulate(config: DgpConfig) -> SimulatedPanel:
     """Simulate a panel; fully deterministic given the config (seed included)."""
-    z, _, _, loadings, unit_lrvs, rho_units = _simulate_components(config)
-    return SimulatedPanel(
-        panel=Panel(z),
-        true_loadings=loadings,
-        true_lrvs=unit_lrvs,
-        rho_used=rho_units,
-    )
+    return simulate_many([config])[0]

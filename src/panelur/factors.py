@@ -112,9 +112,13 @@ def _principal_components(x: np.ndarray, k: int | None = None):
     tp, n = x.shape
     primal = n <= tp
     gram = (x.T @ x if primal else x @ x.T) / (n * tp)
-    if k is None:
-        return np.sort(np.linalg.eigvalsh(gram))[::-1], None
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    try:
+        if k is None:
+            return np.sort(np.linalg.eigvalsh(gram))[::-1], None
+        eigvals, eigvecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"factor fit: the eigensolver failed on the {gram.shape[0]} x "
+                             f"{gram.shape[0]} second-moment matrix ({exc})") from exc
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     if eigvals[k - 1] <= max(n, tp) * np.finfo(float).eps * eigvals[0]:

@@ -7,6 +7,19 @@ from the hash: MP and PANIC cells that agree otherwise consume identical
 draws, which makes the two setups literally coincide under the null and
 keeps their power comparison free of simulation noise.
 
+Each task, a contiguous range of replications of one cell, runs in batches.
+A batch is simulated by one `dgp.simulate_many` call (one stacked set of
+recursions) and analyzed by one `statistics.analyze_many` call (one stacked
+LRV pass over the residuals of all its panels); factor selection, the fit
+and the six statistics stay per replication. A batch stacks at most
+_STACKED_CELLS panel cells (replications times n T), and at least one
+replication, so large cells fall back to small batches and bounded memory.
+Every step is row-local, so a replication's result is bit-identical to
+running it alone: batching, and the worker count that sets the task ranges,
+change no result. Errors stay per replication: a DataError, NumericalError
+or LinAlgError in one replication counts as one error, and the others in
+its batch still count; any other exception is a bug and stops the run.
+
 While `run` executes, every loaded OpenBLAS library runs one thread per
 process: a pool of multithreaded BLAS workers oversubscribes the cores. The
 caller's thread counts are restored when `run` returns, and a user who sets
@@ -26,15 +39,19 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .asymptotics import local_power_mp_bn, power_envelope
-from .dgp import DgpConfig, InnovationSpec, simulate
-from .errors import DataError, NumericalError
+from .dgp import DgpConfig, InnovationSpec, simulate_many
+from .errors import DataError
 from .lrv import LrvConfig
-from .statistics import TEST_NAMES, analyze, check_alpha
+from .statistics import ANALYSIS_ERRORS, TEST_NAMES, analyze_many, check_alpha
 
 __all__ = ["Experiment", "ResultRow", "run", "power_figure_data", "replication_seed",
            "worker_count", "blas_threads", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
 
 WORKERS_ENV_VAR = "PANELUR_WORKERS"
+
+# Cap on the panel cells (n T) one batch of replications stacks: it bounds
+# the memory of a batch, so large cells fall back to small batches.
+_STACKED_CELLS = 2 ** 16
 
 # Standard OpenBLAS / OpenMP thread variables: when either is set, the user's
 # choice stands and `run` leaves the thread counts alone.
@@ -149,31 +166,56 @@ def _cell_config(exp: Experiment, cell: tuple, rep: int) -> DgpConfig:
     )
 
 
+def _replications(exp: Experiment, cell: tuple, reps) -> list:
+    """Rejection flags per requested test for each replication in `reps`, run as one batch.
+
+    A failed replication's entry is its DataError, NumericalError or
+    LinAlgError instead. An error raised for the whole batch (a cell whose
+    config is invalid) is one that every replication of it would raise.
+    """
+    try:
+        sims = simulate_many([_cell_config(exp, cell, rep) for rep in reps])
+        panels = [sim.panel for sim in sims]
+        del sims  # the panels are all the analysis needs
+        results = analyze_many(panels, k=exp.k if exp.k_known else None, k_max=exp.k_max,
+                               lrv_cfg=exp.lrv_cfg, alpha=exp.alpha)
+    except ANALYSIS_ERRORS as exc:
+        return [exc] * len(reps)
+    return [result if isinstance(result, Exception)
+            else {name: result.outcomes[name].reject for name in exp.tests}
+            for result in results]
+
+
 def run_single(exp: Experiment, cell: tuple, rep: int) -> dict[str, bool]:
     """One full pipeline pass: simulate, then analyze.
 
     All six statistics are computed; returns rejection flags per requested test.
     """
-    sim = simulate(_cell_config(exp, cell, rep))
-    result = analyze(sim.panel, k=exp.k if exp.k_known else None, k_max=exp.k_max,
-                     lrv_cfg=exp.lrv_cfg, alpha=exp.alpha)
-    return {name: result.outcomes[name].reject for name in exp.tests}
+    flags, = _replications(exp, cell, [rep])
+    if isinstance(flags, Exception):
+        raise flags
+    return flags
 
 
 def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
-    """Rejection and error counts over a contiguous replication range."""
+    """Rejection and error counts over a contiguous replication range.
+
+    The range runs in batches of at most _STACKED_CELLS // (n T)
+    replications, at least one.
+    """
+    _, n, t, *_ = cell
+    size = max(1, _STACKED_CELLS // (n * t))
     counts = {name: 0 for name in exp.tests}
     successes = 0
     errors = 0
-    for rep in range(rep_start, rep_stop):
-        try:
-            flags = run_single(exp, cell, rep)
-        except (DataError, NumericalError, np.linalg.LinAlgError):
-            errors += 1
-            continue
-        successes += 1
-        for name, rejected in flags.items():
-            counts[name] += int(rejected)
+    for start in range(rep_start, rep_stop, size):
+        for flags in _replications(exp, cell, range(start, min(start + size, rep_stop))):
+            if isinstance(flags, Exception):
+                errors += 1
+                continue
+            successes += 1
+            for name, rejected in flags.items():
+                counts[name] += int(rejected)
     return cell, counts, successes, errors
 
 

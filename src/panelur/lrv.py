@@ -7,8 +7,20 @@ kernel on the sample autocovariances, then recoloring. One-sided variances
 use the identity 2 delta = omega^2 - gamma(0) with gamma(0) taken from the
 original (unfiltered) series.
 
-All internals are vectorized across units: the Monte Carlo harness calls
-these per replication, so the batch path is the hot loop of the package.
+All internals are vectorized across units, and every result is row-local:
+a unit's estimates depend on its own residual row only, bit for bit, not on
+the rows stacked beside it. The Monte Carlo harness relies on this. It
+stacks the residuals of a batch of replications into one (R n) x T' array
+and makes one call per batch, and a replication's results must not depend on
+its batch-mates, or on the worker count that set the batch. Each step is
+elementwise, a reduction along one row, or a per-row matmul or solve. The
+one place where rows meet is the kernel sum: the truncation lag is the
+largest over the rows. Zero weights pad the shorter rows, and the weighted
+lags are added one lag at a time, so a padded zero changes no bit.
+
+The floor on omega^2 is relative to the unit's gamma(0), so rescaling a panel
+rescales every variance and leaves every statistic unchanged.
+
 Python-level steps per call: one per autocovariance lag, a fixed handful
 for the batched Hannan-Rissanen regression (O(n T p^2) flops in matmuls
 over a strided view, p <= 12), and T steps of `panel.ar_recursion` for
@@ -31,7 +43,8 @@ __all__ = ["LrvConfig", "LrvSet", "estimate_lrv_set"]
 _KERNELS = ("bartlett", "quadratic_spectral")
 _BANDWIDTH_RULES = ("andrews", "newey_west", "fixed")
 _MIN_LENGTH = 8
-_OMEGA_FLOOR = 1e-8
+_OMEGA_FLOOR = 1e-8  # relative to gamma(0)
+_TINY = np.finfo(float).tiny
 # Prewhitening candidates, in tie-break order.
 _WN, _AR1, _MA1, _ARMA11 = 0, 1, 2, 3
 _STABILITY_BOUND = 0.999
@@ -83,12 +96,10 @@ class LrvSet:
         return float(np.mean(self.delta))
 
 
-def _batch_autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
-    rows, length = x.shape
-    out = np.empty((rows, max_lag + 1))
-    for m in range(max_lag + 1):
-        out[:, m] = np.einsum("ij,ij->i", x[:, : length - m], x[:, m:]) / length
-    return out
+def _autocov(x: np.ndarray, m: int) -> np.ndarray:
+    """Lag-m sample autocovariance of each row (no mean removal)."""
+    length = x.shape[1]
+    return np.einsum("ij,ij->i", x[:, : length - m], x[:, m:]) / length
 
 
 def _kernel_weights(kernel: str, lags: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
@@ -127,19 +138,24 @@ def _bandwidths(cfg: LrvConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _kernel_sum(cfg: LrvConfig, x: np.ndarray) -> np.ndarray:
-    """Kernel-weighted autocovariance sums per row (the raw two-sided LRV)."""
-    rows, length = x.shape
+    """Kernel-weighted autocovariance sums per row (the raw two-sided LRV).
+
+    Lags run to the largest truncation lag over the rows; a row's weights
+    beyond its own lag are zero. The weighted lags are added one lag at a
+    time, so each zero adds nothing and a row's bits do not depend on the
+    other rows (a single reduction over zero-padded weights would: its SIMD
+    blocking changes with the padded length).
+    """
+    length = x.shape[1]
     bw = _bandwidths(cfg, x)
-    max_lags = np.minimum(np.floor(bw).astype(int), length - 1)
-    max_lags = np.maximum(max_lags, 0)
-    top = int(max_lags.max())
-    gamma = _batch_autocov(x, top)
-    if top == 0:
-        return gamma[:, 0].copy()
-    lags = np.arange(1, top + 1, dtype=float)
+    max_lags = np.maximum(np.minimum(np.floor(bw).astype(int), length - 1), 0)
+    lags = np.arange(1, int(max_lags.max()) + 1, dtype=float)
     weights = _kernel_weights(cfg.kernel, lags, bw)
     weights[lags[None, :] > max_lags[:, None]] = 0.0
-    return gamma[:, 0] + 2.0 * np.einsum("ij,ij->i", weights, gamma[:, 1:])
+    acc = np.zeros(x.shape[0])
+    for m in range(1, lags.size + 1):
+        acc += weights[:, m - 1] * _autocov(x, m)
+    return _autocov(x, 0) + 2.0 * acc
 
 
 def _hannan_rissanen_residuals(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -168,6 +184,12 @@ def _hannan_rissanen_residuals(x: np.ndarray) -> tuple[np.ndarray, int]:
     return resid, p
 
 
+def _mean_square(resid: np.ndarray) -> np.ndarray:
+    """Mean square per row; the residuals die with the call, which keeps the
+    stacked batch's peak memory down."""
+    return np.mean(resid * resid, axis=1)
+
+
 def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Select per row among white noise, AR(1), MA(1), ARMA(1,1) by BIC.
 
@@ -180,14 +202,13 @@ def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     phis = np.zeros((rows, 4))
     thetas = np.zeros((rows, 4))
 
-    sigma2 = np.mean(x * x, axis=1)
+    sigma2 = _mean_square(x)
     bic[:, _WN] = length * np.log(np.maximum(sigma2, 1e-300))
 
     num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
     den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
     phi = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    resid = x[:, 1:] - phi[:, None] * x[:, :-1]
-    sigma2 = np.mean(resid * resid, axis=1)
+    sigma2 = _mean_square(x[:, 1:] - phi[:, None] * x[:, :-1])
     ok = np.abs(phi) < _STABILITY_BOUND
     bic[ok, _AR1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
     phis[:, _AR1] = phi
@@ -200,8 +221,7 @@ def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     den = np.einsum("ij,ij->i", elag, elag)
     theta = np.divide(np.einsum("ij,ij->i", y, elag), den,
                       out=np.zeros_like(den), where=den > 0.0)
-    resid = y - theta[:, None] * elag
-    sigma2 = np.mean(resid * resid, axis=1)
+    sigma2 = _mean_square(y - theta[:, None] * elag)
     ok = np.abs(theta) < _STABILITY_BOUND
     bic[ok, _MA1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
     thetas[:, _MA1] = theta
@@ -217,8 +237,7 @@ def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     theta2 = np.zeros(rows)
     np.divide(g22 * b1 - g12 * b2, det, out=phi2, where=safe)
     np.divide(g11 * b2 - g12 * b1, det, out=theta2, where=safe)
-    resid = y - phi2[:, None] * xlag - theta2[:, None] * elag
-    sigma2 = np.mean(resid * resid, axis=1)
+    sigma2 = _mean_square(y - phi2[:, None] * xlag - theta2[:, None] * elag)
     ok = safe & (np.abs(phi2) < _STABILITY_BOUND) & (np.abs(theta2) < _STABILITY_BOUND)
     bic[ok, _ARMA11] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + 2.0 * log_t
     phis[:, _ARMA11] = phi2
@@ -244,7 +263,7 @@ def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.nda
     rows, length = x.shape
     if length < _MIN_LENGTH:
         raise DataError(f"series of length {length} too short for LRV estimation (need >= {_MIN_LENGTH})")
-    gamma0 = np.mean(x * x, axis=1)
+    gamma0 = _mean_square(x)
     if cfg.prewhiten:
         model, phi, theta = _fit_prewhitening(x)
         recolor = ((1.0 + theta) / (1.0 - phi)) ** 2
@@ -257,7 +276,9 @@ def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.nda
             omega2[idx] = recolor[idx] * _kernel_sum(cfg, filtered)
     else:
         omega2 = _kernel_sum(cfg, x)
-    omega2 = np.maximum(omega2, _OMEGA_FLOOR)
+    # Relative to the row's own gamma(0), so a rescaled series gets a rescaled
+    # variance; `tiny` keeps an all-zero row positive (analyze rejects it).
+    omega2 = np.maximum(omega2, _OMEGA_FLOOR * gamma0 + _TINY)
     delta = 0.5 * (omega2 - gamma0)
     return omega2, delta, gamma0
 

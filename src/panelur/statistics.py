@@ -6,7 +6,9 @@ index sets, and reject in the left tail of the standard normal. Those three
 conventions are applied consistently across the optimal statistics and the
 pooled-autoregression tests, which is what makes the homogeneous-variance
 reduction of the optimal test to P_b exact in finite samples. `analyze`
-runs the whole recipe on a level panel and returns all six outcomes.
+runs the whole recipe on a level panel and returns all six outcomes;
+`analyze_many` runs it over a batch of panels with one stacked LRV pass,
+and `analyze` is its one-panel case.
 
 Every test removes the factor space with one operator, `PrecisionMatrix`:
 Omega^{-1} - W (P + L'W)^{-1} W' with W = Omega^{-1} L. The optimal tests
@@ -262,11 +264,57 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
     """Difference, fit factors, estimate LRVs and compute the six tests.
 
     With k None the factor count is selected by IC_p2 over
-    0..min(k_max, n, T'). A unit whose differences are all zero is rejected
-    up front: its long-run variance would be zero. An alpha outside (0, 1)
-    is rejected before any work.
+    0..min(k_max, m // 2), m = min(n, T'). IC_p2 is built for a small fixed
+    k_max: near m its penalty no longer offsets the fit, and it picks k_max.
+    A unit whose differences are all zero is rejected up front: its
+    long-run variance would be zero. So is a unit whose factor residuals
+    are all zero (NumericalError). An alpha outside (0, 1) is rejected
+    before any work.
+    """
+    result, = analyze_many([panel], k=k, k_max=k_max, lrv_cfg=lrv_cfg, alpha=alpha)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+# What a degenerate panel raises; anything else is a bug.
+ANALYSIS_ERRORS = (DataError, NumericalError, np.linalg.LinAlgError)
+
+
+def analyze_many(panels, k: int | None = None, k_max: int = 6,
+                 lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> list:
+    """`analyze` over panels of one length T, with one LRV pass over all of them.
+
+    Entry i is panel i's Analysis, or the DataError, NumericalError or
+    LinAlgError that `analyze(panels[i], ...)` raises; any other exception
+    propagates. Factor selection, the fit and the statistics run panel by
+    panel. The residuals of all fitted panels are stacked for one
+    `estimate_lrv_set` call; its results are row-local (see `lrv`), so each
+    panel's Analysis is bit-identical to its own `analyze`. When the stacked
+    call raises, each panel's LRVs are estimated alone, so only the faulty
+    panel fails and its error names its own units.
     """
     check_alpha(alpha)
+    results: list = [None] * len(panels)
+    fitted = []
+    for i, panel in enumerate(panels):
+        try:
+            fitted.append((i, *_fit(panel, k, k_max)))
+        except ANALYSIS_ERRORS as exc:
+            results[i] = exc
+    lrv_sets = _lrv_sets([fit.residuals for _, _, fit in fitted], lrv_cfg)
+    for (i, d, fit), lrvs in zip(fitted, lrv_sets):
+        if isinstance(lrvs, Exception):
+            results[i] = lrvs
+            continue
+        try:
+            results[i] = _tests(panels[i], d, fit, lrvs, alpha)
+        except ANALYSIS_ERRORS as exc:
+            results[i] = exc
+    return results
+
+
+def _fit(panel: Panel, k: int | None, k_max: int) -> tuple[DiffPanel, FactorFit]:
     d = difference(panel)
     constant = np.flatnonzero(~d.values.any(axis=1))
     if constant.size:
@@ -274,11 +322,40 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
         raise DataError(f"constant unit(s) {units}: all first differences are zero, "
                         "so the long-run variance is zero")
     if k is None:
-        k = select_num_factors(d, min(k_max, min(d.values.shape)))
-    fit = estimate_factors(d, k)
-    lrvs = estimate_lrv_set(fit.residuals, lrv_cfg)
+        k = select_num_factors(d, min(k_max, min(d.values.shape) // 2))
+    return d, estimate_factors(d, k)
+
+
+def _lrv_sets(residuals: list[DiffPanel], cfg: LrvConfig) -> list:
+    """Each residual panel's LrvSet, or the error its own estimate raises.
+
+    Two or more panels share one stacked call; if that raises, each panel
+    is estimated alone.
+    """
+    if len(residuals) == 1:
+        try:
+            return [estimate_lrv_set(residuals[0], cfg)]
+        except ANALYSIS_ERRORS as exc:
+            return [exc]
+    if not residuals:
+        return []
+    try:
+        lrvs = estimate_lrv_set(DiffPanel(np.concatenate([r.values for r in residuals])), cfg)
+    except ANALYSIS_ERRORS:
+        return [_lrv_sets([r], cfg)[0] for r in residuals]
+    bounds = np.cumsum([0] + [r.n_units for r in residuals]).tolist()
+    return [LrvSet(omega2=lrvs.omega2[a:b], delta=lrvs.delta[a:b], gamma0=lrvs.gamma0[a:b])
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _tests(panel: Panel, d: DiffPanel, fit: FactorFit, lrvs: LrvSet, alpha: float) -> Analysis:
+    zero = np.flatnonzero(lrvs.gamma0 == 0.0)
+    if zero.size:
+        units = ", ".join(repr(panel.unit_ids[i]) for i in zero)
+        raise NumericalError(f"LRV: unit(s) {units} have all-zero factor residuals, so "
+                             "gamma(0) and the long-run variance are zero")
     ump = ump_statistics(d, precision_matrix(lrvs, fit.loadings_hat), lrvs)
     ordered = (t_ump(ump, alpha), t_ump_emp(ump, alpha), *bn_tests(fit, lrvs, alpha),
                *mp_tests(panel, fit.loadings_hat, lrvs, alpha))
-    return Analysis(k=k, fit=fit, lrvs=lrvs, ump=ump,
+    return Analysis(k=fit.k, fit=fit, lrvs=lrvs, ump=ump,
                     outcomes={o.name: o for o in ordered})

@@ -404,6 +404,27 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert main(["simulate", str(cfg), str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "-12345"])
+    def test_negative_simulate_seed_rejected(self, tmp_path, capsys, sim_config, seed):
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(sim_config), str(out), "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert f"--seed must be non-negative, got {seed}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_negative_config_seed_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.json"
+        cfg.write_text(json.dumps({"framework": "PANIC", "n": 10, "T": 30, "seed": -1}))
+        assert main(["simulate", str(cfg), str(tmp_path / "o.csv")]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+    def test_kmax_beyond_panel_clamped(self, tmp_path):
+        path = tmp_path / "small.csv"
+        write_panel_csv(path, simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1,
+                                                 lrv_ratio=0.8, seed=0)).panel)
+        assert main(["test", str(path), "--kmax", "1000"]) == 0
+
     def test_bad_config_field(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"framework": "PANIC", "n": 10, "T": 30, "h": 2.0}))

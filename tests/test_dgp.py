@@ -10,6 +10,7 @@ import pytest
 from panelur import (DataError, DgpConfig, DiffPanel, InnovationSpec, LrvConfig,
                      estimate_lrv_set, innovation_scale, local_rho,
                      lognormal_heterogeneity_params, simulate)
+from panelur.dgp import simulate_many
 
 
 class TestLocalRho:
@@ -131,6 +132,11 @@ class TestSimulate:
         with pytest.raises(DataError):
             DgpConfig(framework="MP", n=5, T=20, panic_stationary_factors=True)
 
+    @pytest.mark.parametrize("seed", [-1, -2 ** 63])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(DataError, match=f"seed must be non-negative, got {seed}"):
+            _config(seed=seed)
+
     def test_stationary_factors_do_not_wander(self):
         # Shrink the idiosyncratic scale so the panel is dominated by the
         # common component, then compare integrated vs over-differenced factors.
@@ -192,6 +198,38 @@ def test_simulate_is_pinned_bit_for_bit(framework, kind, h, het, k, stationary,
                     seed=2024)
     values = np.ascontiguousarray(simulate(cfg).panel.values, dtype="<f8")
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+class TestSimulateMany:
+    def test_equals_each_config_alone(self):
+        # One batch over both frameworks, all innovation kinds (the factor
+        # kind differing from the unit kind), K in {0, 2} and several n.
+        kinds = ("iid", "ar1", "ma1")
+        configs = [
+            DgpConfig(framework=fw, n=4 + i % 5, T=37, h=-6.0, K=k, lrv_ratio=0.7,
+                      factor_spec=InnovationSpec(kind=kind, parameter=0.5,
+                                                 distribution=dist),
+                      idio_spec=InnovationSpec(kind=kinds[i % 3], parameter=-0.3,
+                                               distribution=dist, target_lrv=2.0),
+                      heterogeneous_alternatives=bool(i % 2),
+                      panic_stationary_factors=fw == "PANIC" and k > 0 and i % 4 == 0,
+                      seed=300 + i)
+            for i, (fw, kind, k, dist) in enumerate(
+                (fw, kind, k, dist) for fw in ("MP", "PANIC") for kind in kinds
+                for k in (0, 2) for dist in ("gaussian", "student_t5"))
+        ]
+        batch = simulate_many(configs)
+        assert len(batch) == len(configs)
+        for cfg, got in zip(configs, batch):
+            want = simulate(cfg)
+            assert np.array_equal(got.panel.values, want.panel.values)
+            assert np.array_equal(got.true_loadings, want.true_loadings)
+            assert np.array_equal(got.true_lrvs, want.true_lrvs)
+            assert np.array_equal(got.rho_used, want.rho_used)
+
+    def test_one_length_required(self):
+        with pytest.raises(DataError, match="one length T"):
+            simulate_many([_config(T=30), _config(T=31)])
 
 
 class TestLrvTargeting:

@@ -176,6 +176,22 @@ class TestRankGuard:
             estimate_factors(d, distinct + 1)
 
 
+class TestEigensolverFailure:
+    @pytest.mark.parametrize("solver, call", [
+        ("eigh", lambda d: estimate_factors(d, 1)),
+        ("eigvalsh", lambda d: select_num_factors(d, 2)),
+    ])
+    @pytest.mark.parametrize("n", [6, 40])   # the primal and the dual Gram matrix
+    def test_linalg_error_is_a_numerical_error(self, monkeypatch, solver, call, n):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, failing)
+        with pytest.raises(NumericalError, match="factor fit: the eigensolver failed") as caught:
+            call(_random_diff(n, 20))
+        assert "did not converge" in str(caught.value)
+
+
 class TestSelectNumFactors:
     def test_kmax_zero(self):
         assert select_num_factors(_random_diff(5, 20), 0) == 0

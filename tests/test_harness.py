@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, seeding, parallel equivalence, aggregation."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,9 +9,10 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from panelur import (DataError, Experiment, LrvConfig, NumericalError, analyze, harness,
+from panelur import (DataError, Experiment, LrvConfig, NumericalError, Panel, analyze, harness,
                      power_figure_data, replication_seed, run, simulate, statistics)
 from panelur.harness import RESULT_COLUMNS, WORKERS_ENV_VAR, _cell_config, run_single
+from panelur.statistics import TEST_NAMES
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 needs_openblas = pytest.mark.skipif(not harness._openblas_controls(),
@@ -84,6 +86,49 @@ class TestRun:
         exp = _experiment(replications=24)
         assert _rates(run(exp, workers=1)) == _rates(run(exp, workers=2))
 
+    def test_worker_count_independence_with_prewhitening_qs_and_k_selected(self):
+        exp = _experiment(replications=24, innovations=("ar1",), h_values=(0.0, -5.0),
+                          k_known=False, tests=TEST_NAMES,
+                          lrv_cfg=LrvConfig(kernel="quadratic_spectral", prewhiten=True))
+        assert _rates(run(exp, workers=1)) == _rates(run(exp, workers=2))
+
+    def test_batch_results_do_not_depend_on_batch_mates(self):
+        exp = _experiment(innovations=("ma1",), k_known=False, tests=TEST_NAMES,
+                          lrv_cfg=LrvConfig(kernel="quadratic_spectral", prewhiten=True))
+        cell = exp.cells()[0]
+        whole = harness._replications(exp, cell, range(6))
+        assert whole == [run_single(exp, cell, rep) for rep in range(6)]
+        assert whole[2:5] == harness._replications(exp, cell, range(2, 5))
+
+    def test_one_singular_replication_is_one_error(self, monkeypatch):
+        # Replication 1 gets a unit that moves only in its last period: its
+        # Hannan-Rissanen design is singular, which fails the stacked LRV pass.
+        exp = _experiment(replications=5, k=0, tests=TEST_NAMES,
+                          lrv_cfg=LrvConfig(prewhiten=True))
+        cell = exp.cells()[0]
+        faulty_seed = _cell_config(exp, cell, 1).seed
+        original = harness.simulate_many
+
+        def breaking(configs):
+            sims = original(configs)
+            for i, cfg in enumerate(configs):
+                if cfg.seed == faulty_seed:
+                    values = sims[i].panel.values.copy()
+                    values[3] = 0.0
+                    values[3, -1] = 1.0
+                    sims[i] = dataclasses.replace(sims[i], panel=Panel(values))
+            return sims
+
+        monkeypatch.setattr(harness, "simulate_many", breaking)
+        assert harness._plan(exp, 1)[1][0] == (cell, 0, 2)   # replications 0 and 1 share a batch
+        with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[3\]"):
+            run_single(exp, cell, 1)
+        others = [run_single(exp, cell, rep) for rep in (0, 2, 3, 4)]
+        rows = run(exp, workers=1)
+        for row in rows:
+            assert row.errors == 1 and row.replications == 4
+            assert round(row.rejection_rate * 4) == sum(f[row.test] for f in others)
+
     def test_framework_equivalence_under_null(self):
         exp = _experiment(frameworks=("MP", "PANIC"), replications=40)
         rates = _rates(run(exp, workers=2))
@@ -118,7 +163,7 @@ class TestRun:
         def degenerate(*args, **kwargs):
             raise error("degenerate replication")
 
-        monkeypatch.setattr(harness, "analyze", degenerate)
+        monkeypatch.setattr(harness, "analyze_many", degenerate)
         rows = run(_experiment(replications=3), workers=1)
         assert all(r.errors == 3 and r.replications == 0 for r in rows)
 
@@ -127,7 +172,7 @@ class TestRun:
         def broken(*args, **kwargs):
             raise error("operands could not be broadcast together")
 
-        monkeypatch.setattr(harness, "analyze", broken)
+        monkeypatch.setattr(harness, "analyze_many", broken)
         with pytest.raises(error, match="broadcast"):
             run(_experiment(replications=3), workers=1)
 
@@ -209,11 +254,11 @@ class TestBlasThreads:
         saved = [get_threads() for _, get_threads in controls]
         seen = []
 
-        def recording(exp, cell, rep):
-            seen.append(_openblas_threads())
-            return {name: False for name in exp.tests}
+        def recording(exp, cell, reps):
+            seen.extend(_openblas_threads() for _ in reps)
+            return [{name: False for name in exp.tests} for _ in reps]
 
-        monkeypatch.setattr(harness, "run_single", recording)
+        monkeypatch.setattr(harness, "_replications", recording)
         try:
             for set_threads, _ in controls:
                 set_threads(2)

@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_precision, mp_statistics_dense, ump_statistics_naive
-from panelur import (DataError, DgpConfig, DiffPanel, DimensionError, LrvConfig, LrvSet,
-                     NumericalError, Panel, PrecisionMatrix, analyze, bn_statistics, bn_tests,
-                     difference, estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
-                     precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
+from panelur import (DataError, DgpConfig, DiffPanel, DimensionError, InnovationSpec, LrvConfig,
+                     LrvSet, NumericalError, Panel, PrecisionMatrix, analyze, bn_statistics,
+                     bn_tests, difference, estimate_factors, estimate_lrv_set, lagged_cumsum,
+                     mp_tests, precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
 from panelur import statistics
-from panelur.statistics import TEST_NAMES
+from panelur.statistics import TEST_NAMES, analyze_many
 
 
 def _lrvs(omega2, delta=None, gamma0=None):
@@ -370,6 +370,137 @@ class TestAnalyze:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+def _batch_panels(kinds=("iid", "ar1", "ma1"), sizes=(12, 20, 7), t=60):
+    """Panels of one length: several n, innovation kinds, persistences and seeds."""
+    panels = []
+    for i, (kind, n) in enumerate((kind, n) for kind in kinds for n in sizes):
+        spec = InnovationSpec(kind=kind, parameter=(0.9, 0.6, 0.3)[i % 3])
+        panels.append(simulate(DgpConfig(framework="MP", n=n, T=t, h=-5.0, K=2,
+                                         factor_spec=spec, idio_spec=spec,
+                                         lrv_ratio=0.7, seed=900 + i)).panel)
+    return panels
+
+
+def _assert_same_analysis(got, want):
+    assert got.k == want.k
+    for field in ("omega2", "delta", "gamma0"):
+        assert np.array_equal(getattr(got.lrvs, field), getattr(want.lrvs, field))
+    assert got.ump == want.ump
+    assert got.outcomes == want.outcomes
+
+
+class TestAnalyzeMany:
+    @pytest.mark.parametrize("lrv_cfg", [
+        LrvConfig(kernel="bartlett", bandwidth="andrews"),
+        LrvConfig(kernel="quadratic_spectral", bandwidth="andrews"),
+        LrvConfig(kernel="bartlett", bandwidth="fixed", fixed_bandwidth=24.0),
+        LrvConfig(kernel="quadratic_spectral", bandwidth="fixed", fixed_bandwidth=20.0),
+        LrvConfig(kernel="bartlett", bandwidth="andrews", prewhiten=False),
+        LrvConfig(kernel="quadratic_spectral", bandwidth="andrews", prewhiten=False),
+    ], ids=["bartlett-andrews", "qs-andrews", "bartlett-fixed24", "qs-fixed20",
+            "bartlett-andrews-raw", "qs-andrews-raw"])
+    def test_batch_equals_each_panel_alone(self, lrv_cfg):
+        # Mixed n, innovation kinds and persistence put rows with different
+        # prewhitening models and truncation lags side by side in the stacked
+        # LRV pass. Unprewhitened Andrews bandwidths differ most, so there a
+        # row's weights are padded with the most zeros.
+        panels = _batch_panels()
+        alone = [analyze(p, k_max=4, lrv_cfg=lrv_cfg) for p in panels]
+        batched = analyze_many(panels, k_max=4, lrv_cfg=lrv_cfg)
+        reordered = analyze_many(panels[::-1], k_max=4, lrv_cfg=lrv_cfg)[::-1]
+        for got, again, want in zip(batched, reordered, alone):
+            _assert_same_analysis(got, want)
+            _assert_same_analysis(again, want)
+
+    def test_faulty_panel_fails_alone(self):
+        # Unit 3 of the middle panel moves only in its last period: its
+        # differences are not all zero, but its Hannan-Rissanen design is.
+        panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
+        values = panels[1].values.copy()
+        values[3] = 0.0
+        values[3, -1] = 1.0
+        panels[1] = Panel(values)
+        cfg = LrvConfig(prewhiten=True)
+        results = analyze_many(panels, k=0, lrv_cfg=cfg)
+        assert isinstance(results[1], NumericalError)
+        assert "LRV prewhitening" in str(results[1]) and "unit(s) [3]" in str(results[1])
+        for i in (0, 2):
+            _assert_same_analysis(results[i], analyze(panels[i], k=0, lrv_cfg=cfg))
+        with pytest.raises(NumericalError, match=r"unit\(s\) \[3\]"):
+            analyze(panels[1], k=0, lrv_cfg=cfg)
+
+    def test_errors_are_returned_per_panel(self):
+        panels = _batch_panels(kinds=("iid",), sizes=(8, 8))
+        values = panels[0].values.copy()
+        values[2] = 1.5
+        panels.insert(0, Panel(values))
+        results = analyze_many(panels, k=1)
+        assert isinstance(results[0], DataError)
+        assert "constant unit(s) 2" in str(results[0])
+        for got, panel in zip(results[1:], panels[1:]):
+            _assert_same_analysis(got, analyze(panel, k=1))
+
+
+class TestKmaxClamp:
+    def test_runaway_bound_clamped(self):
+        # At k_max near min(n, T') IC_p2 picks k_max (49 of 49 here).
+        panel = simulate(DgpConfig(framework="PANIC", n=50, T=100, K=2, lrv_ratio=0.8,
+                                   seed=0)).panel
+        assert analyze(panel, k_max=49).k == 2
+
+    def test_bound_above_panel_size(self):
+        # Without the clamp this selects k = 12 = n and the statistics degenerate.
+        panel = simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1, lrv_ratio=0.8,
+                                   seed=0)).panel
+        result = analyze(panel, k_max=1000)
+        assert 0 <= result.k <= 6
+        assert all(math.isfinite(o.statistic) for o in result.outcomes.values())
+
+    def test_clamp_is_half_the_smaller_dimension(self, monkeypatch):
+        bounds = []
+        original = statistics.select_num_factors
+
+        def recording(d, k_max):
+            bounds.append(k_max)
+            return original(d, k_max)
+
+        monkeypatch.setattr(statistics, "select_num_factors", recording)
+        values = np.random.default_rng(5).standard_normal((9, 31)).cumsum(axis=1)
+        for k_max in (1, 4, 5, 100):
+            analyze(Panel(values), k_max=k_max, lrv_cfg=LrvConfig(prewhiten=False))
+        assert bounds == [1, 4, 4, 4]
+
+
+class TestScaleInvariance:
+    @given(scale=st.floats(1e-6, 1e6))
+    @settings(max_examples=25, deadline=None)
+    def test_statistics_invariant_to_common_scale(self, scale):
+        panel = simulate(DgpConfig(framework="PANIC", n=20, T=100, K=1, lrv_ratio=0.8,
+                                   seed=41)).panel
+        base = analyze(panel)
+        scaled = analyze(Panel(scale * panel.values))
+        assert scaled.k == base.k
+        for name in TEST_NAMES:
+            assert scaled.outcomes[name].statistic == pytest.approx(
+                base.outcomes[name].statistic, rel=1e-9, abs=0.0)
+
+    def test_tiny_units_are_not_floored(self):
+        # An absolute floor of 1e-8 moved t_ump from 0.085 to -3.13 here.
+        values = np.random.default_rng(3).standard_normal((20, 100)).cumsum(axis=1)
+        base = analyze(Panel(values), k=1)
+        tiny = analyze(Panel(1e-5 * values), k=1)
+        for name in TEST_NAMES:
+            assert tiny.outcomes[name].statistic == pytest.approx(
+                base.outcomes[name].statistic, rel=1e-9, abs=0.0)
+
+    def test_zero_residual_unit_is_a_numerical_error(self):
+        # One unit and one factor: the fit absorbs the unit, whose residuals
+        # are then exactly zero.
+        values = np.random.default_rng(3).standard_normal((1, 40)).cumsum(axis=1)
+        with pytest.raises(NumericalError, match="LRV: unit\\(s\\) 'solo'"):
+            analyze(Panel(values, unit_ids=("solo",)), k=1, lrv_cfg=LrvConfig(prewhiten=False))
+
 
 class TestNullDistributionSmoke:
     def test_known_nuisance_calibration(self):
