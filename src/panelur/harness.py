@@ -24,6 +24,17 @@ While `run` executes, every loaded OpenBLAS library runs one thread per
 process: a pool of multithreaded BLAS workers oversubscribes the cores. The
 caller's thread counts are restored when `run` returns, and a user who sets
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS keeps that setting throughout.
+
+A batch's stacked arrays are a few hundred KiB each, above glibc malloc's
+default mmap threshold, and a batch's working set rises and falls by a few
+MiB. Left at its defaults, glibc returns that memory to the kernel after
+each batch and faults it in again for the next: thousands of page faults
+per benchmark call, whose cost follows the host's memory pressure (see
+BENCH_9.json). So `run` fixes glibc's mmap and trim thresholds
+(_MMAP_THRESHOLD, _TRIM_THRESHOLD) in its own process and in every pool
+worker: freed batch memory stays in the heap for the next batch. The
+setting is not undone when `run` returns; glibc has no way to read it
+back. Under another C library nothing is changed.
 """
 
 from __future__ import annotations
@@ -52,6 +63,13 @@ WORKERS_ENV_VAR = "PANELUR_WORKERS"
 # Cap on the panel cells (n T) one batch of replications stacks: it bounds
 # the memory of a batch, so large cells fall back to small batches.
 _STACKED_CELLS = 2 ** 16
+
+# glibc malloc settings `run` applies (see the module docstring): blocks
+# below _MMAP_THRESHOLD come from the heap, and the heap keeps up to
+# _TRIM_THRESHOLD of free memory at its top instead of returning it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
+_MMAP_THRESHOLD = 2 ** 22
+_TRIM_THRESHOLD = 2 ** 25
 
 # Standard OpenBLAS / OpenMP thread variables: when either is set, the user's
 # choice stands and `run` leaves the thread counts alone.
@@ -295,9 +313,29 @@ def _set_blas_threads(controls: tuple, counts: list[int]) -> None:
 
 
 def _pin_blas() -> None:
-    """Set every controllable OpenBLAS to one thread; also the pool's worker initializer."""
+    """Set every controllable OpenBLAS to one thread."""
     controls = _blas_controls()
     _set_blas_threads(controls, [1] * len(controls))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Fix glibc's mmap and trim thresholds for this process, once; no-op elsewhere."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def _init_worker() -> None:
+    """Pool worker initializer: the malloc thresholds and one OpenBLAS thread."""
+    _keep_freed_heap()
+    _pin_blas()
 
 
 @contextlib.contextmanager
@@ -326,8 +364,9 @@ def blas_threads() -> int | None:
 def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
     """Execute the full grid; deterministic for a fixed experiment, any worker count.
 
-    Replications run with one OpenBLAS thread per process (see the module
-    docstring), in the serial path and in every pool worker alike.
+    Replications run with one OpenBLAS thread per process and fixed glibc
+    malloc thresholds (see the module docstring), in the serial path and in
+    every pool worker alike.
     """
     cells = exp.cells()
     n_workers, tasks = _plan(exp, workers)
@@ -339,14 +378,15 @@ def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
             agg[name] += c
         results[cell] = (agg, succ + successes, err + errors)
 
-    # Pin before the pool forks, so forked workers start single-threaded; the
+    # Set before the pool forks, so forked workers inherit both settings; the
     # initializer covers the spawn and forkserver start methods.
+    _keep_freed_heap()
     with _one_blas_thread():
         if n_workers == 1:
             for cell, start, stop in tasks:
                 fold(*_run_chunk(exp, cell, start, stop))
         else:
-            with ProcessPoolExecutor(max_workers=n_workers, initializer=_pin_blas) as pool:
+            with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker) as pool:
                 futures = [pool.submit(_run_chunk, exp, cell, start, stop)
                            for cell, start, stop in tasks]
                 for fut in futures:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import resource
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -17,6 +18,7 @@ from panelur.statistics import TEST_NAMES
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 needs_openblas = pytest.mark.skipif(not harness._openblas_controls(),
                                     reason="no OpenBLAS library loaded")
+needs_glibc = pytest.mark.skipif(not os.confstr("CS_GNU_LIBC_VERSION"), reason="not glibc")
 
 
 def _experiment(**kw):
@@ -293,6 +295,30 @@ class TestBlasThreads:
         monkeypatch.setattr(harness, "_openblas_controls", lambda: ())
         assert harness.blas_threads() is None
         assert len(run(_experiment(replications=2), workers=1)) == 3
+
+
+class TestFreedHeapKept:
+    @needs_glibc
+    def test_repeat_run_faults_no_pages(self):
+        # 8-replication batches of 50x100 panels: stacked arrays of about
+        # 300 KiB, above glibc's default mmap threshold. With the default
+        # thresholds the second run faults in about 800 pages.
+        exp = _experiment(sizes=((50, 100),), replications=28, lrv_cfg=LrvConfig())
+        run(exp, workers=1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(dataclasses.replace(exp, base_seed=12), workers=1)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    def test_other_libc_left_alone(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(harness.os, "confstr", lambda name: None)
+        monkeypatch.setattr(harness.ctypes, "CDLL", opened.append)
+        harness._keep_freed_heap.cache_clear()
+        try:
+            harness._keep_freed_heap()
+        finally:
+            harness._keep_freed_heap.cache_clear()
+        assert opened == []
 
 
 class TestRunSingle:
