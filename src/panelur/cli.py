@@ -22,12 +22,12 @@ from . import __version__
 from .asymptotics import emit_power_curve
 from .dgp import DgpConfig, InnovationSpec, simulate
 from .errors import DataError, NumericalError
-from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, blas_threads, run,
-                      worker_count)
+from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, _one_blas_thread,
+                      blas_threads, run, worker_count)
 from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
 from .panel import Panel
-from .statistics import TEST_NAMES, analyze
+from .statistics import TEST_NAMES, analyze, k_bound
 
 __all__ = ["main", "load_panel_csv", "write_panel_csv"]
 
@@ -37,8 +37,8 @@ def load_panel_csv(path: str) -> Panel:
 
     Blank rows are skipped and fields stripped. Units keep the order of their
     first row; times are sorted, numerically where the labels are numbers. A
-    faulty file raises DataError naming the physical line on which its first
-    faulty record starts.
+    faulty file, including one with a value that parses to nan or inf, raises
+    DataError naming the physical line on which its first faulty record starts.
     """
     units: list = []
     times: list = []
@@ -53,7 +53,7 @@ def load_panel_csv(path: str) -> Panel:
             if len(row) != 3:
                 if _is_blank(row):
                     continue
-                _raise_at(path, f"expected 3 fields, got {len(row)}", units, times)
+                _raise_at(path, f"expected 3 fields, got {len(row)}", units, times, values)
             unit, time_label, value = row
             try:
                 add_value(float(value))
@@ -61,9 +61,13 @@ def load_panel_csv(path: str) -> Panel:
                 try:  # str.strip() removes a few characters that float() rejects
                     add_value(float(value.strip()))
                 except ValueError:
-                    _raise_at(path, f"non-numeric value {value.strip()!r}", units, times)
+                    _raise_at(path, f"non-numeric value {value.strip()!r}", units, times,
+                              values)
             add_unit(unit)
             add_time(time_label)
+    observed = np.array(values)
+    if not np.isfinite(observed).all():
+        _raise_at(path, None, units, times, observed)
     unit_ids, time_ids, rows = _index_rows(path, units, times)
     if not values:
         raise DataError(f"{path}: no observations")
@@ -73,7 +77,7 @@ def load_panel_csv(path: str) -> Panel:
             f"{len(unit_ids)} units x {len(time_ids)} times"
         )
     grid = np.empty((len(unit_ids), len(time_ids)))
-    grid[rows] = values
+    grid[rows] = observed
     return Panel(grid, unit_ids=unit_ids, time_ids=time_ids)
 
 
@@ -81,9 +85,10 @@ def _is_blank(row: list) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _record_line(path: str, row: int) -> int:
+def _record(path: str, row: int) -> tuple[int, list]:
     """The physical line on which the row-th (from 0) non-blank record after the header
-    starts. Called only on a fault, so the loader's loop keeps no line numbers."""
+    starts, and its fields. Called only on a fault, so the loader's loop keeps no line
+    numbers."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -94,14 +99,19 @@ def _record_line(path: str, row: int) -> int:
                     break
                 row -= 1
             start = reader.line_num + 1
-    return start
+    return start, record
 
 
-def _raise_at(path: str, fault: str, units: list, times: list):
-    """Raise the fault of the record after the rows read so far, unless an earlier row
-    repeats a cell."""
-    _index_rows(path, units, times)
-    raise DataError(f"{path}:{_record_line(path, len(units))}: {fault}")
+def _raise_at(path: str, fault: str | None, units: list, times: list, values):
+    """Raise the first fault, in file order, of the rows read so far: a repeated cell or
+    a non-finite value. Without one, raise fault for the record after them."""
+    finite = np.isfinite(values)
+    row = len(units) if finite.all() else int(finite.argmin())
+    _index_rows(path, units[:row], times[:row])
+    line, record = _record(path, row)
+    if row < len(units):
+        fault = f"non-finite value {record[2].strip()!r}"
+    raise DataError(f"{path}:{line}: {fault}")
 
 
 def _index_rows(path: str, units: list, times: list):
@@ -115,7 +125,7 @@ def _index_rows(path: str, units: list, times: list):
     if repeats.size:
         row = int(repeats.min())
         key = (unit_ids[unit_idx[row]], time_ids[time_idx[row]])
-        raise DataError(f"{path}:{_record_line(path, row)}: duplicate observation for {key}")
+        raise DataError(f"{path}:{_record(path, row)[0]}: duplicate observation for {key}")
     return unit_ids, time_ids, (unit_idx, time_idx)
 
 
@@ -162,12 +172,18 @@ def _lrv_config(args) -> LrvConfig:
 def _cmd_test(args) -> int:
     panel = load_panel_csv(args.panel)
     cfg = _lrv_config(args)
-    result = analyze(panel, k=args.k, k_max=args.kmax, lrv_cfg=cfg, alpha=args.alpha)
+    # numpy and scipy may each load an OpenBLAS; the factor fit calls scipy's LAPACK
+    # between numpy products, and two multithreaded pools spin against each other.
+    with _one_blas_thread():
+        result = analyze(panel, k=args.k, k_max=args.kmax, lrv_cfg=cfg, alpha=args.alpha)
     lrvs = result.lrvs
+    bound = None if args.k is not None else k_bound(panel.n_units, panel.n_periods - 1,
+                                                    args.kmax)
     payload = {
         "n": panel.n_units,
         "T": panel.n_periods,
         "k": result.k,
+        "k_bound": bound,
         "alpha": args.alpha,
         "kernel": cfg.kernel,
         "bandwidth": args.bandwidth,
@@ -185,6 +201,9 @@ def _cmd_test(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"panel: n={payload['n']} T={payload['T']}  factors: {result.k}")
+    if bound and result.k == bound:
+        print(f"note: k={bound} is the selection bound min(kmax, min(n, T-1) // 2); "
+              "IC_p2 may overfit on small panels")
     print(f"lrv: kernel={cfg.kernel} bandwidth={args.bandwidth} prewhiten={cfg.prewhiten}")
     print(f"pooled omega^2={payload['pooled']['omega2']:.6g} "
           f"phi^4={payload['pooled']['phi4']:.6g} delta={payload['pooled']['delta']:.6g}")

@@ -4,9 +4,11 @@ Everything operates on the differenced panel, arranged time-major as the
 T' x n matrix X. Loadings are the leading eigenvectors of S = X'X / (n T'),
 taken from whichever Gram matrix is smaller: S itself when n <= T', else
 XX' / (n T') (the dual principal components of Bai and Ng), whose
-eigenvectors u map back to X'u / |X'u|. The eigendecomposition costs
-O(min(n, T')^3), forming the Gram matrix O(n T' min(n, T')), and no n x n
-array is formed when n > T'.
+eigenvectors u map back to X'u / |X'u|. Forming the Gram matrix costs
+O(n T' min(n, T')), and no n x n array is formed when n > T'. Its reduction
+to tridiagonal form costs O(m^3), m = min(n, T'); the fit then computes only
+its k leading eigenpairs and back-transforms only those k vectors, where a
+full eigendecomposition would take all m. Selection needs eigenvalues only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DataError, DimensionError, NumericalError
 from .panel import DiffPanel
@@ -89,9 +92,11 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     if total <= 0.0:
         raise DataError("differenced panel is identically zero")
     penalty = (n + tp) / (n * tp) * np.log(min(n, tp))
-    # V(k) = V(0) - sum of the k largest eigenvalues of X'X / (n T').
-    eigvals = _principal_components(x)[0]
     best_k, best_ic = 0, np.log(total)
+    if k_max == 0:
+        return best_k
+    # V(k) = V(0) - sum of the k largest eigenvalues of X'X / (n T').
+    eigvals = _principal_components(x, k_max, vectors=False)[0]
     running = total
     for k in range(1, k_max + 1):
         running -= eigvals[k - 1]
@@ -102,31 +107,39 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     return best_k
 
 
-def _principal_components(x: np.ndarray, k: int | None = None):
-    """Eigenvalues of S = X'X / (n T') in descending order and, given k >= 1, its k
-    leading unit eigenvectors (n x k, largest-magnitude entry of each positive).
+def _principal_components(x: np.ndarray, k: int, vectors: bool = True):
+    """The k largest eigenvalues of S = X'X / (n T') in descending order and, with
+    vectors, its k leading unit eigenvectors (n x k, largest-magnitude entry of each
+    positive), else None.
 
     X is the time-major T' x n difference matrix. The eigenproblem is solved on the
-    smaller of S and XX' / (n T'); the two share their nonzero eigenvalues.
+    smaller of S and XX' / (n T'); the two share their nonzero eigenvalues. With
+    vectors, LAPACK's ?syevr computes only the k leading eigenpairs, and a k above
+    the rank raises NumericalError. Without, it computes the whole spectrum without
+    vectors: for the k_max = 6 that selection uses, bisection for the k largest
+    eigenvalues alone takes longer than the root-free QR for all of them.
     """
     tp, n = x.shape
     primal = n <= tp
     gram = (x.T @ x if primal else x @ x.T) / (n * tp)
-    try:
-        if k is None:
-            return np.sort(np.linalg.eigvalsh(gram))[::-1], None
-        eigvals, eigvecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"factor fit: the eigensolver failed on the {gram.shape[0]} x "
-                             f"{gram.shape[0]} second-moment matrix ({exc})") from exc
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
+    m = gram.shape[0]
+    if vectors:
+        eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, range="I", lower=1,
+                                                     il=m - k + 1, iu=m)
+    else:
+        eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, compute_v=0, lower=1)
+    if info != 0:
+        raise NumericalError(f"factor fit: the eigensolver failed on the {m} x {m} "
+                             f"second-moment matrix (LAPACK ?syevr info={info})")
+    if not vectors:
+        return eigvals[::-1][:k], None
+    eigvals = eigvals[k - 1::-1]
     if eigvals[k - 1] <= max(n, tp) * np.finfo(float).eps * eigvals[0]:
         raise NumericalError(
             f"factor fit: k={k} exceeds the rank of the differenced panel "
             f"(eigenvalue {k} is zero to working precision)"
         )
-    vecs = eigvecs[:, order[:k]]
+    vecs = eigvecs[:, ::-1]
     if not primal:
         vecs = x.T @ vecs
         vecs /= np.linalg.norm(vecs, axis=0)

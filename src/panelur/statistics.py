@@ -322,8 +322,13 @@ def _fit(panel: Panel, k: int | None, k_max: int) -> tuple[DiffPanel, FactorFit]
         raise DataError(f"constant unit(s) {units}: all first differences are zero, "
                         "so the long-run variance is zero")
     if k is None:
-        k = select_num_factors(d, min(k_max, min(d.values.shape) // 2))
+        k = select_num_factors(d, k_bound(*d.values.shape, k_max))
     return d, estimate_factors(d, k)
+
+
+def k_bound(n: int, tp: int, k_max: int) -> int:
+    """The largest factor count `analyze` selects on n units with T' = T - 1 differences."""
+    return min(k_max, min(n, tp) // 2)
 
 
 def _lrv_sets(residuals: list[DiffPanel], cfg: LrvConfig) -> list:

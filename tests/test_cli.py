@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelur import DgpConfig, analyze, cli, simulate, statistics
+from panelur import DgpConfig, analyze, cli, harness, simulate, statistics
 from panelur.cli import load_panel_csv, main, write_panel_csv
 from panelur.errors import DataError
 from panelur.harness import blas_threads
@@ -121,6 +121,22 @@ class TestPanelCsv:
         with pytest.raises(DataError, match=":3: non-numeric value 'oops'"):
             load_panel_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"unit,time,value\nA,1,1.0\n\nA,2, {value} \nB,1,nan\nB,2,2.0\n")
+        with pytest.raises(DataError, match=f":4: non-finite value '{value}'$"):
+            load_panel_csv(str(path))
+
+    def test_non_finite_value_in_file_order(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("unit,time,value\nA,1,1.0\nA,2,nan\nA,3,oops\n")
+        with pytest.raises(DataError, match=":3: non-finite value 'nan'"):
+            load_panel_csv(str(path))
+        path.write_text("unit,time,value\nA,1,1.0\nA,1,2.0\nA,2,nan\n")
+        with pytest.raises(DataError, match=":3: duplicate observation"):
+            load_panel_csv(str(path))
+
     def test_duplicate_line_counts_blank_rows(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("unit,time,value\nA,1,1.0\n\n  \nA,2,2.0\n\nA,2,3.0\nB,1,4.0\n")
@@ -187,6 +203,52 @@ class TestSimulateAndTest:
         for rec in payload["tests"].values():
             assert np.isfinite(rec["statistic"])
             assert 0.0 <= rec["p_value"] <= 1.0
+
+    def test_k_at_selection_bound_flagged(self, tmp_path, capsys):
+        # IC_p2 overfits 12 x 40 panels: with one true factor it selects the bound.
+        path = tmp_path / "small.csv"
+        write_panel_csv(path, simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1,
+                                                 lrv_ratio=0.8, seed=0)).panel)
+        for extra in [(), ("--kmax", "1000")]:
+            payload = _run_test_json(path, *extra)
+            assert (payload["k"], payload["k_bound"]) == (6, 6)
+        assert main(["test", str(path)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if "note" in line]
+        assert notes == ["note: k=6 is the selection bound min(kmax, min(n, T-1) // 2); "
+                         "IC_p2 may overfit on small panels"]
+
+    def test_k_below_selection_bound_not_flagged(self, tmp_path, sim_config, capsys):
+        out = tmp_path / "panel.csv"
+        main(["simulate", str(sim_config), str(out)])
+        assert _run_test_json(out)["k_bound"] == 6
+        assert _run_test_json(out, "--kmax", "0")["k_bound"] == 0
+        fixed = _run_test_json(out, "--k", "1")
+        assert (fixed["k"], fixed["k_bound"]) == (1, None)
+        for extra in [(), ("--kmax", "0"), ("--k", "1")]:
+            capsys.readouterr()
+            assert main(["test", str(out), *extra]) == 0
+            assert "note" not in capsys.readouterr().out
+
+    def test_analysis_runs_at_one_blas_thread(self, tmp_path, sim_config, monkeypatch):
+        controls = harness._blas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS whose thread count panelur may set")
+
+        def counts():
+            return [get_threads() for _, get_threads in controls]
+
+        before, seen = counts(), []
+
+        def spy(*args, **kwargs):
+            seen.append(counts())
+            return analyze(*args, **kwargs)
+
+        out = tmp_path / "panel.csv"
+        main(["simulate", str(sim_config), str(out)])
+        monkeypatch.setattr(cli, "analyze", spy)
+        _run_test_json(out, "--k", "1")
+        assert seen == [[1] * len(controls)]
+        assert counts() == before
 
     def test_simulate_deterministic(self, tmp_path, sim_config):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -398,6 +460,12 @@ class TestExitCodes:
         path = tmp_path / "bad.csv"
         path.write_text("unit,time,value\nA,1,xyz\n")
         assert main(["test", str(path)]) == 2
+
+    def test_non_finite_csv_value(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("unit,time,value\nA,1,1.0\nA,2,nan\nB,1,3.0\nB,2,4.0\n")
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: non-finite value 'nan'\n"
 
     def test_bad_json(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from panelur import DiffPanel, DimensionError, NumericalError, estimate_factors, select_num_factors
+from panelur.factors import _principal_components
 
 from oracles import factor_fit_dense
 
@@ -177,19 +181,84 @@ class TestRankGuard:
 
 
 class TestEigensolverFailure:
-    @pytest.mark.parametrize("solver, call", [
+    # Both problems go through LAPACK's ?syevr: the fit asks for eigenpairs (numpy's
+    # eigh problem), selection for eigenvalues only (eigvalsh).
+    @pytest.mark.parametrize("problem, call", [
         ("eigh", lambda d: estimate_factors(d, 1)),
         ("eigvalsh", lambda d: select_num_factors(d, 2)),
     ])
     @pytest.mark.parametrize("n", [6, 40])   # the primal and the dual Gram matrix
-    def test_linalg_error_is_a_numerical_error(self, monkeypatch, solver, call, n):
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def test_linalg_error_is_a_numerical_error(self, monkeypatch, problem, call, n):
+        solve, requested = lapack.dsyevr, []
 
-        monkeypatch.setattr(np.linalg, solver, failing)
+        def failing(a, compute_v=1, **kwargs):
+            requested.append(compute_v)
+            *out, _ = solve(a, compute_v=compute_v, **kwargs)
+            return (*out, 3)   # info > 0: the solver did not converge
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
         with pytest.raises(NumericalError, match="factor fit: the eigensolver failed") as caught:
             call(_random_diff(n, 20))
-        assert "did not converge" in str(caught.value)
+        assert "info=3" in str(caught.value)
+        assert requested == [1 if problem == "eigh" else 0]
+
+
+@st.composite
+def _low_rank_diff(draw, dual):
+    """A panel of rank 1..min(n, T'); n <= T' unless dual."""
+    small = draw(st.integers(1, 20))
+    large = draw(st.integers(small, 40))
+    n, tp = (large + 1, small) if dual else (small, large)
+    rank = draw(st.integers(1, min(n, tp)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DiffPanel(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, tp)))
+
+
+class TestPartialSolver:
+    """The leading-eigenpair solve against the full spectrum of numpy's eigvalsh."""
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_spectrum(self, dual, data):
+        d = data.draw(_low_rank_diff(dual))
+        n, tp = d.values.shape
+        assert (n > tp) == dual
+        x = d.values.T
+        k_max = data.draw(st.integers(1, min(n, tp)))
+        gram = (x.T @ x if n <= tp else x @ x.T) / (n * tp)
+        full = np.sort(np.linalg.eigvalsh(gram))[::-1]
+        tol = 1e-12 * full[0]
+        assert np.abs(_principal_components(x, k_max, vectors=False)[0]
+                      - full[:k_max]).max() <= tol
+
+        for k in range(1, k_max + 1):
+            if full[k - 1] <= max(n, tp) * np.finfo(float).eps * full[0]:
+                with pytest.raises(NumericalError, match=f"k={k} exceeds the rank"):
+                    estimate_factors(d, k)
+                continue
+            assert np.abs(_principal_components(x, k)[0] - full[:k]).max() <= tol
+            fit, ref = estimate_factors(d, k), factor_fit_dense(d, k)
+            # Any backward-stable solver, numpy's eigh included, moves the k-th vector
+            # by about eps * cond; the dual map X'u / |X'u| adds sqrt(lambda_1 / lambda_k).
+            gap = full[k - 1] - (full[k] if k < full.size else 0.0)
+            if full[0] / gap * (np.sqrt(full[0] / full[k - 1]) if dual else 1.0) > 1e6:
+                continue
+            for got, want in [(fit.loadings_bar, ref.loadings_bar),
+                              (fit.residuals.values, ref.residuals.values)]:
+                assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+        # The IC_p2 loop over the full spectrum. Beyond the rank, V(k) is rounding
+        # noise, so this asks for the same arithmetic, not only the same eigenvalues.
+        penalty = (n + tp) / (n * tp) * np.log(min(n, tp))
+        running = float(np.mean(x * x))
+        best_k, best_ic = 0, np.log(running)
+        for k in range(1, k_max + 1):
+            running -= full[k - 1]
+            ic = np.log(max(running, 1e-300)) + k * penalty
+            if ic < best_ic - 1e-12:
+                best_k, best_ic = k, ic
+        assert select_num_factors(d, k_max) == best_k
 
 
 class TestSelectNumFactors:
