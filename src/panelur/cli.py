@@ -13,21 +13,23 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .asymptotics import emit_power_curve
-from .dgp import DgpConfig, InnovationSpec, simulate
+from .dgp import DgpConfig, simulate
 from .errors import DataError, NumericalError
 from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, _one_blas_thread,
                       blas_threads, run, worker_count)
 from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
 from .panel import Panel
-from .statistics import TEST_NAMES, analyze, k_bound
+from .statistics import analyze, k_bound
 
 __all__ = ["main", "load_panel_csv", "write_panel_csv"]
 
@@ -161,7 +163,10 @@ def _lrv_config(args) -> LrvConfig:
     bandwidth = args.bandwidth
     fixed = None
     if bandwidth.startswith("fixed="):
-        fixed = float(bandwidth.split("=", 1)[1])
+        try:
+            fixed = float(bandwidth.split("=", 1)[1])
+        except ValueError:
+            raise DataError(f"--bandwidth {bandwidth}: B must be a number") from None
         bandwidth = "fixed"
     elif bandwidth == "newey-west":
         bandwidth = "newey_west"
@@ -213,48 +218,64 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _reject_unknown(cfg: dict, known: set, what: str) -> None:
-    unknown = sorted(set(cfg) - known)
+def _from_json(cls, cfg, what: str, keys: dict | None = None):
+    """Build the dataclass `cls` from the JSON object `cfg`, called `what` in errors.
+
+    A field is read from the key of its name, or from keys[name]. An absent key
+    leaves the field's default. A bool field takes only true or false, an int field
+    only an integer, a float field any number (stored as a float), a tuple field a
+    list and a dataclass field an object, read the same way.
+    """
+    if not isinstance(cfg, dict):
+        raise DataError(f"{what} must be a JSON object, got {json.dumps(cfg)}")
+    names = {(keys or {}).get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(cfg) - set(names))
     if unknown:
         raise DataError(f"unknown {what} field(s): {', '.join(map(repr, unknown))}")
+    for key, f in names.items():
+        if key not in cfg and f.default is MISSING and f.default_factory is MISSING:
+            raise DataError(f"{what} is missing required field {key!r}")
+    hints = get_type_hints(cls)
+    return cls(**{names[key].name: _typed(value, hints[names[key].name], what, key)
+                  for key, value in cfg.items()})
 
 
-def _dgp_from_json(cfg: dict) -> DgpConfig:
-    _reject_unknown(cfg, {f.name for f in fields(DgpConfig)}, "simulation config")
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
-    def spec(entry, default_target=1.0):
-        entry = dict(entry or {})
-        entry.setdefault("target_lrv", default_target)
-        return InnovationSpec(**entry)
 
-    try:
-        return DgpConfig(
-            framework=cfg["framework"],
-            n=int(cfg["n"]),
-            T=int(cfg["T"]),
-            h=float(cfg.get("h", 0.0)),
-            K=int(cfg.get("K", 1)),
-            factor_spec=spec(cfg.get("factor_spec")),
-            idio_spec=spec(cfg.get("idio_spec")),
-            lrv_ratio=float(cfg.get("lrv_ratio", 1.0)),
-            heterogeneous_alternatives=bool(cfg.get("heterogeneous_alternatives", False)),
-            panic_stationary_factors=bool(cfg.get("panic_stationary_factors", False)),
-            seed=int(cfg.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise DataError(f"simulation config is missing required field {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise DataError(f"invalid simulation config field: {exc}") from exc
+def _typed(value, hint, what: str, key: str):
+    """The JSON value of the field `key` of a `what` as an instance of the type `hint`."""
+    if is_dataclass(hint):
+        return _from_json(hint, value, f"{key} config")
+    if get_origin(hint) is UnionType:
+        if value is None and NoneType in get_args(hint):
+            return None
+        hint, = (arg for arg in get_args(hint) if arg is not NoneType)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if isinstance(value, list):
+            items = [args[0]] * len(value) if args[-1] is Ellipsis else args
+            if len(items) == len(value):
+                return tuple(_typed(v, item, what, key) for v, item in zip(value, items))
+        expected = "a list" if args[-1] is Ellipsis else f"a list of {len(args)} items"
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is hint:  # so a bool is no int, nor an int a bool
+        return value
+    else:
+        expected = _JSON_TYPES[hint]
+    raise DataError(f"invalid {what} field {key!r}: expected {expected}, "
+                    f"got {json.dumps(value)}")
 
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        config = _from_json(DgpConfig, json.load(fh), "simulation config")
     if args.seed is not None:
         if args.seed < 0:
             raise DataError(f"--seed must be non-negative, got {args.seed}")
-        cfg["seed"] = args.seed
-    sim = simulate(_dgp_from_json(cfg))
+        config = replace(config, seed=args.seed)
+    sim = simulate(config)
     write_panel_csv(args.out, sim.panel)
     sidecar = {
         "loadings": [[float(v) for v in row] for row in sim.true_loadings],
@@ -267,47 +288,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _experiment_from_json(cfg: dict) -> Experiment:
-    known = {f.name for f in fields(Experiment)} - {"lrv_cfg"} | {"lrv"}
-    _reject_unknown(cfg, known, "experiment config")
-    lrv = dict(cfg.get("lrv", {}))
-    _reject_unknown(lrv, {f.name for f in fields(LrvConfig)}, "lrv config")
-    lrv_cfg = LrvConfig(
-        kernel=lrv.get("kernel", "bartlett"),
-        bandwidth=lrv.get("bandwidth", "andrews"),
-        fixed_bandwidth=lrv.get("fixed_bandwidth"),
-        prewhiten=bool(lrv.get("prewhiten", True)),
-    )
-    try:
-        return Experiment(
-            frameworks=tuple(cfg.get("frameworks", ["PANIC"])),
-            sizes=tuple(tuple(s) for s in cfg.get("sizes", [[50, 100]])),
-            ratios=tuple(cfg.get("ratios", [1.0])),
-            innovations=tuple(cfg.get("innovations", ["iid"])),
-            distributions=tuple(cfg.get("distributions", ["gaussian"])),
-            h_values=tuple(cfg.get("h_values", [0.0])),
-            k=int(cfg.get("k", 1)),
-            k_known=bool(cfg.get("k_known", True)),
-            k_max=int(cfg.get("k_max", 6)),
-            innovation_parameter=float(cfg.get("innovation_parameter", 0.4)),
-            heterogeneous_alternatives=bool(cfg.get("heterogeneous_alternatives", False)),
-            panic_stationary_factors=bool(cfg.get("panic_stationary_factors", False)),
-            lrv_cfg=lrv_cfg,
-            tests=tuple(cfg.get("tests", list(TEST_NAMES))),
-            alpha=float(cfg.get("alpha", 0.05)),
-            replications=int(cfg.get("replications", 100)),
-            base_seed=int(cfg.get("base_seed", 0)),
-        )
-    except TypeError as exc:
-        raise DataError(f"invalid experiment config: {exc}") from exc
-
-
 def _cmd_mc(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        exp = _from_json(Experiment, json.load(fh), "experiment config", {"lrv_cfg": "lrv"})
     if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    exp = _experiment_from_json(cfg)
+        exp = replace(exp, base_seed=args.seed)
     start = time.perf_counter()
     rows = run(exp, workers=args.workers)
     wall_s = time.perf_counter() - start

@@ -12,6 +12,7 @@ differ only in the framework flag consume identical randomness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +52,8 @@ class InnovationSpec:
             raise DataError(f"unknown innovation distribution {self.distribution!r}")
         if self.kind in ("ar1", "ma1") and not -1.0 < self.parameter < 1.0:
             raise DataError(f"{self.kind} parameter must lie in (-1, 1)")
-        if not self.target_lrv > 0.0:
-            raise DataError("target long-run variance must be positive")
+        if not 0.0 < self.target_lrv < math.inf:
+            raise DataError(f"target_lrv must be positive and finite, got {self.target_lrv}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,18 @@ class DgpConfig:
     def __post_init__(self):
         if self.framework not in ("MP", "PANIC"):
             raise DataError(f"framework must be 'MP' or 'PANIC', got {self.framework!r}")
+        for name in ("n", "T", "K", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.T < 2:
             raise DataError("need n >= 1 and T >= 2")
-        if self.h > 0.0:
-            raise DataError("local parameter h must be <= 0")
+        if not self.h <= 0.0:
+            raise DataError(f"local parameter h must be <= 0, got {self.h}")
         if self.K < 0:
-            raise DataError("number of factors must be >= 0")
+            raise DataError(f"number of factors K must be >= 0, got {self.K}")
         if not 0.0 < self.lrv_ratio <= 1.0:
-            raise DataError("lrv_ratio must lie in (0, 1]")
+            raise DataError(f"lrv_ratio must lie in (0, 1], got {self.lrv_ratio}")
         if self.panic_stationary_factors and self.framework != "PANIC":
             raise DataError("stationary factors are only meaningful under PANIC")
         if self.seed < 0:

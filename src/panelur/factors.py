@@ -82,7 +82,8 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
 
     IC(k) = log V(k) + k ((n + T') / (n T')) log(min(n, T')), with V(k) the
     mean squared residual at k factors and V(0) the raw mean square of the
-    differences. Ties break toward fewer factors.
+    differences. Ties break toward fewer factors. The search stops at the rank that
+    `estimate_factors` guards: beyond it V(k) is rounding noise, whose log would win.
     """
     n, tp = d.values.shape
     if k_max < 0 or k_max > min(n, tp):
@@ -97,8 +98,9 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
         return best_k
     # V(k) = V(0) - sum of the k largest eigenvalues of X'X / (n T').
     eigvals = _principal_components(x, k_max, vectors=False)[0]
+    rank = int(np.count_nonzero(eigvals > _rank_tolerance(n, tp, eigvals[0])))
     running = total
-    for k in range(1, k_max + 1):
+    for k in range(1, rank + 1):
         running -= eigvals[k - 1]
         vk = max(running, 1e-300)
         ic = np.log(vk) + k * penalty
@@ -134,7 +136,7 @@ def _principal_components(x: np.ndarray, k: int, vectors: bool = True):
     if not vectors:
         return eigvals[::-1][:k], None
     eigvals = eigvals[k - 1::-1]
-    if eigvals[k - 1] <= max(n, tp) * np.finfo(float).eps * eigvals[0]:
+    if eigvals[k - 1] <= _rank_tolerance(n, tp, eigvals[0]):
         raise NumericalError(
             f"factor fit: k={k} exceeds the rank of the differenced panel "
             f"(eigenvalue {k} is zero to working precision)"
@@ -148,3 +150,8 @@ def _principal_components(x: np.ndarray, k: int, vectors: bool = True):
     signs = np.sign(vecs[anchor, np.arange(k)])
     signs[signs == 0] = 1.0
     return eigvals, vecs * signs
+
+
+def _rank_tolerance(n: int, tp: int, largest: float) -> float:
+    """Eigenvalues of S at or below this are zero to working precision."""
+    return max(n, tp) * np.finfo(float).eps * largest

@@ -84,12 +84,12 @@ RESULT_COLUMNS = ("framework", "n", "T", "ratio", "innovation", "distribution",
 class Experiment:
     """A grid of simulation designs plus the estimation configuration."""
 
-    frameworks: tuple = ("PANIC",)
-    sizes: tuple = ((50, 100),)
-    ratios: tuple = (1.0,)
-    innovations: tuple = ("iid",)
-    distributions: tuple = ("gaussian",)
-    h_values: tuple = (0.0,)
+    frameworks: tuple[str, ...] = ("PANIC",)
+    sizes: tuple[tuple[int, int], ...] = ((50, 100),)
+    ratios: tuple[float, ...] = (1.0,)
+    innovations: tuple[str, ...] = ("iid",)
+    distributions: tuple[str, ...] = ("gaussian",)
+    h_values: tuple[float, ...] = (0.0,)
     k: int = 1
     k_known: bool = True
     k_max: int = 6
@@ -97,29 +97,29 @@ class Experiment:
     heterogeneous_alternatives: bool = False
     panic_stationary_factors: bool = False
     lrv_cfg: LrvConfig = field(default_factory=LrvConfig)
-    tests: tuple = TEST_NAMES
+    tests: tuple[str, ...] = TEST_NAMES
     alpha: float = 0.05
     replications: int = 100
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "frameworks", tuple(self.frameworks))
-        object.__setattr__(self, "sizes", tuple(tuple(s) for s in self.sizes))
-        object.__setattr__(self, "ratios", tuple(self.ratios))
-        object.__setattr__(self, "innovations", tuple(self.innovations))
-        object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(self, "h_values", tuple(self.h_values))
-        object.__setattr__(self, "tests", tuple(self.tests))
         if self.replications < 1:
             raise DataError("need at least one replication")
         check_alpha(self.alpha)
         for grid in ("frameworks", "sizes", "ratios", "innovations",
                      "distributions", "h_values", "tests"):
-            if not getattr(self, grid):
+            values = getattr(self, grid)
+            values = tuple(map(tuple, values) if grid == "sizes" else values)
+            object.__setattr__(self, grid, values)
+            if not values:
                 raise DataError(f"experiment grid {grid!r} is empty")
         unknown = set(self.tests) - set(TEST_NAMES)
         if unknown:
             raise DataError(f"unknown test names: {sorted(unknown)}")
+        if self.k_max < 0:
+            raise DataError(f"k_max must be non-negative, got {self.k_max}")
+        for cell in self.cells():  # DgpConfig's checks, before any replication runs
+            _cell_config(self, cell, 0)
 
     def cells(self) -> list[tuple]:
         return [
@@ -188,8 +188,7 @@ def _replications(exp: Experiment, cell: tuple, reps) -> list:
     """Rejection flags per requested test for each replication in `reps`, run as one batch.
 
     A failed replication's entry is its DataError, NumericalError or
-    LinAlgError instead. An error raised for the whole batch (a cell whose
-    config is invalid) is one that every replication of it would raise.
+    LinAlgError instead.
     """
     try:
         sims = simulate_many([_cell_config(exp, cell, rep) for rep in reps])

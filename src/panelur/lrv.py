@@ -65,8 +65,9 @@ class LrvConfig:
         if self.bandwidth not in _BANDWIDTH_RULES:
             raise DataError(f"unknown bandwidth rule {self.bandwidth!r}")
         if self.bandwidth == "fixed":
-            if self.fixed_bandwidth is None or not self.fixed_bandwidth >= 1.0:
-                raise DataError("fixed bandwidth must be >= 1")
+            if self.fixed_bandwidth is None or not 1.0 <= self.fixed_bandwidth < math.inf:
+                raise DataError(f"fixed bandwidth must be finite and >= 1, "
+                                f"got {self.fixed_bandwidth}")
         elif self.fixed_bandwidth is not None:
             raise DataError("fixed_bandwidth only applies with bandwidth='fixed'")
 

@@ -26,6 +26,10 @@ def sim_config(tmp_path):
     return path
 
 
+def _must_not_run(*args):
+    raise AssertionError("a replication ran")
+
+
 def _run_test_json(panel_path, *extra):
     import io
     from contextlib import redirect_stdout
@@ -337,10 +341,11 @@ class TestShippedSample:
     def test_sample_mc_config_is_valid(self):
         from pathlib import Path
 
-        from panelur.cli import _experiment_from_json
+        from panelur.cli import _from_json
 
         cfg = Path(__file__).resolve().parent.parent / "sample_data" / "mc_smoke.json"
-        exp = _experiment_from_json(json.loads(cfg.read_text()))
+        exp = _from_json(harness.Experiment, json.loads(cfg.read_text()), "experiment config",
+                         {"lrv_cfg": "lrv"})
         assert exp.replications == 200
         assert exp.h_values == (0.0, -5.0)
 
@@ -385,6 +390,20 @@ class TestMcCommand:
         assert manifest["workers"] == 1
         assert manifest["blas_threads_per_process"] == blas_threads()
         assert manifest["wall_s"] > 0.0
+
+    def test_integer_written_floats_read_as_floats(self, tmp_path):
+        rows = []
+        for h_values, ratio in (([0, -5], 1), ([0.0, -5.0], 1.0)):
+            cfg = tmp_path / "mc.json"
+            cfg.write_text(json.dumps({"sizes": [[10, 25]], "ratios": [ratio],
+                                       "h_values": h_values, "replications": 4,
+                                       "lrv": {"prewhiten": False}}))
+            out = tmp_path / "mc.csv"
+            assert main(["mc", str(cfg), str(out), "--workers", "1"]) == 0
+            rows.append(out.read_text())
+            with open(f"{out}.manifest.json") as fh:
+                assert json.load(fh)["experiment"]["h_values"] == [0.0, -5.0]
+        assert rows[0] == rows[1]
 
     def test_manifest_workers_capped_at_tasks(self, tmp_path):
         cfg = tmp_path / "mc.json"
@@ -526,6 +545,80 @@ class TestExitCodes:
         assert main(["simulate", str(path), str(out)]) == 2
         assert "unknown simulation config field(s): 'k', 'seeed'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, message", [
+        ({"lrv": {"prewhiten": "false"}},
+         "invalid lrv config field 'prewhiten': expected true or false, got \"false\""),
+        ({"k_known": "false"},
+         "invalid experiment config field 'k_known': expected true or false, got \"false\""),
+        ({"replications": 2.9},
+         "invalid experiment config field 'replications': expected an integer, got 2.9"),
+        ({"replications": True},
+         "invalid experiment config field 'replications': expected an integer, got true"),
+        ({"sizes": [[20.5, 40]]},
+         "invalid experiment config field 'sizes': expected an integer, got 20.5"),
+        ({"sizes": [[20, 40, 60]]},
+         "invalid experiment config field 'sizes': expected a list of 2 items"),
+        ({"ratios": ["0.8"]},
+         "invalid experiment config field 'ratios': expected a number, got \"0.8\""),
+        ({"frameworks": "PANIC"},
+         "invalid experiment config field 'frameworks': expected a list, got \"PANIC\""),
+        ({"h_values": [0, True]},
+         "invalid experiment config field 'h_values': expected a number, got true"),
+        ({"lrv": None}, "lrv config must be a JSON object, got null"),
+        ({"innovations": ["arl"]}, "unknown innovation kind 'arl'"),
+        ({"k": -1}, "number of factors K must be >= 0, got -1"),
+        ({"k_max": -1, "k_known": False}, "k_max must be non-negative, got -1"),
+        ({"ratios": [float("nan")]}, "lrv_ratio must lie in (0, 1], got nan"),
+        ({"h_values": [float("nan")]}, "local parameter h must be <= 0, got nan"),
+        ({"lrv": {"bandwidth": "fixed", "fixed_bandwidth": float("inf")}},
+         "fixed bandwidth must be finite and >= 1, got inf"),
+    ])
+    def test_invalid_mc_config_runs_nothing(self, tmp_path, capsys, monkeypatch, field,
+                                             message):
+        monkeypatch.setattr(harness, "_run_chunk", _must_not_run)
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"sizes": [[10, 25]], "replications": 1, **field}))
+        assert main(["mc", str(path), str(tmp_path / "mc.csv"), "--workers", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mc.json"]
+
+    @pytest.mark.parametrize("field, message", [
+        ({"n": 10.7}, "invalid simulation config field 'n': expected an integer, got 10.7"),
+        ({"T": True}, "invalid simulation config field 'T': expected an integer, got true"),
+        ({"heterogeneous_alternatives": 1},
+         "invalid simulation config field 'heterogeneous_alternatives': "
+         "expected true or false, got 1"),
+        ({"framework": None},
+         "invalid simulation config field 'framework': expected a string, got null"),
+        ({"h": float("nan")}, "local parameter h must be <= 0, got nan"),
+        ({"idio_spec": {"target_lrv": float("inf")}},
+         "target_lrv must be positive and finite, got inf"),
+        ({"factor_spec": {"kind": "ar1", "paramter": 0.5}},
+         "unknown factor_spec config field(s): 'paramter'"),
+    ])
+    def test_invalid_simulation_config_writes_nothing(self, tmp_path, capsys, field, message):
+        path = tmp_path / "dgp.json"
+        path.write_text(json.dumps({"framework": "PANIC", "n": 10, "T": 30, **field}))
+        assert main(["simulate", str(path), str(tmp_path / "o.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["dgp.json"]
+
+    def test_missing_simulation_field_named(self, tmp_path, capsys):
+        path = tmp_path / "dgp.json"
+        path.write_text(json.dumps({"framework": "PANIC", "T": 30}))
+        assert main(["simulate", str(path), str(tmp_path / "o.csv")]) == 2
+        assert "simulation config is missing required field 'n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth, message", [
+        ("fixed=abc", "--bandwidth fixed=abc: B must be a number"),
+        ("fixed=inf", "fixed bandwidth must be finite and >= 1, got inf"),
+    ])
+    def test_bad_fixed_bandwidth_flag(self, tmp_path, sim_config, capsys, bandwidth, message):
+        out = tmp_path / "panel.csv"
+        main(["simulate", str(sim_config), str(out)])
+        assert main(["test", str(out), "--bandwidth", bandwidth]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_invalid_workers_argument(self, tmp_path, capsys, workers):

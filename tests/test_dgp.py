@@ -78,6 +78,9 @@ class TestInnovationScale:
             InnovationSpec(kind="iid", target_lrv=0.0)
         with pytest.raises(DataError):
             InnovationSpec(kind="arma")
+        for target in (math.inf, math.nan):
+            with pytest.raises(DataError, match="target_lrv must be positive and finite"):
+                InnovationSpec(target_lrv=target)
 
 
 def _config(**kw):
@@ -129,8 +132,19 @@ class TestSimulate:
             _config(h=0.5)
         with pytest.raises(DataError):
             _config(lrv_ratio=0.0)
+        with pytest.raises(DataError, match="local parameter h must be <= 0, got nan"):
+            _config(h=math.nan)
         with pytest.raises(DataError):
             DgpConfig(framework="MP", n=5, T=20, panic_stationary_factors=True)
+
+    @pytest.mark.parametrize("field", ["n", "T", "K", "seed"])
+    @pytest.mark.parametrize("value", [20.5, 20.0, True, "20"])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be an integer, got {value!r}"):
+            _config(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert _config(n=np.int64(10), seed=np.uint64(2 ** 63)).n == 10
 
     @pytest.mark.parametrize("seed", [-1, -2 ** 63])
     def test_negative_seed_rejected(self, seed):

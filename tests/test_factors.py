@@ -248,12 +248,13 @@ class TestPartialSolver:
                               (fit.residuals.values, ref.residuals.values)]:
                 assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
-        # The IC_p2 loop over the full spectrum. Beyond the rank, V(k) is rounding
-        # noise, so this asks for the same arithmetic, not only the same eigenvalues.
+        # The IC_p2 loop over the full spectrum, up to the rank: beyond it, V(k)
+        # would be rounding noise.
         penalty = (n + tp) / (n * tp) * np.log(min(n, tp))
         running = float(np.mean(x * x))
         best_k, best_ic = 0, np.log(running)
-        for k in range(1, k_max + 1):
+        rank = int(np.sum(full[:k_max] > max(n, tp) * np.finfo(float).eps * full[0]))
+        for k in range(1, rank + 1):
             running -= full[k - 1]
             ic = np.log(max(running, 1e-300)) + k * penalty
             if ic < best_ic - 1e-12:
@@ -301,3 +302,16 @@ class TestSelectNumFactors:
     def test_kmax_out_of_range(self):
         with pytest.raises(DimensionError):
             select_num_factors(_random_diff(4, 10), 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 30), tp=st.integers(2, 60), data=st.data())
+    def test_never_above_the_rank(self, n, tp, data):
+        # Beyond the rank, V(k) is rounding noise and its log would beat the penalty:
+        # at 10x40, rank 2 and k_max 5, about a third of panels picked k > 2.
+        rank = data.draw(st.integers(1, min(n, tp) - 1))
+        k_max = data.draw(st.integers(rank, min(n, tp)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        d = DiffPanel(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, tp)))
+        k = select_num_factors(d, k_max)
+        assert k <= rank
+        estimate_factors(d, k)

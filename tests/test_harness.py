@@ -2,7 +2,6 @@
 
 import dataclasses
 import os
-import resource
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -237,6 +236,19 @@ class TestRun:
             with pytest.raises(DataError):
                 _experiment(alpha=alpha)
 
+    @pytest.mark.parametrize("grid, message", [
+        (dict(sizes=((20.5, 40),)), "n must be an integer, got 20.5"),
+        (dict(frameworks="PANIC"), "framework must be 'MP' or 'PANIC', got 'P'"),
+        (dict(innovations=("arl",)), "unknown innovation kind 'arl'"),
+        (dict(ratios=(float("nan"),)), r"lrv_ratio must lie in \(0, 1\], got nan"),
+        (dict(h_values=(0.0, float("nan"))), "h must be <= 0, got nan"),
+        (dict(k=-1), "number of factors K must be >= 0, got -1"),
+        (dict(k_max=-1, k_known=False), "k_max must be non-negative, got -1"),
+    ])
+    def test_invalid_cell_fails_at_construction(self, grid, message):
+        with pytest.raises(DataError, match=message):
+            _experiment(**grid)
+
 
 class TestBlasThreads:
     @pytest.fixture(autouse=True)
@@ -297,17 +309,30 @@ class TestBlasThreads:
         assert len(run(_experiment(replications=2), workers=1)) == 3
 
 
+_REPEAT_RUN_FAULTS = """
+import dataclasses, resource
+from panelur import Experiment, LrvConfig, run
+exp = Experiment(sizes=((50, 100),), ratios=(0.8,), k=1, replications=50, base_seed=11,
+                 lrv_cfg=LrvConfig(), tests=("t_ump", "t_ump_emp", "p_b"))
+run(exp, workers=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run(dataclasses.replace(exp, base_seed=12), workers=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestFreedHeapKept:
     @needs_glibc
     def test_repeat_run_faults_no_pages(self):
-        # 8-replication batches of 50x100 panels: stacked arrays of about
-        # 300 KiB, above glibc's default mmap threshold. With the default
-        # thresholds the second run faults in about 800 pages.
-        exp = _experiment(sizes=((50, 100),), replications=28, lrv_cfg=LrvConfig())
-        run(exp, workers=1)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        run(dataclasses.replace(exp, base_seed=12), workers=1)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+        # 13-replication batches of 50x100 panels: stacked arrays of about
+        # 500 KiB, above glibc's default mmap threshold. With the default
+        # thresholds the second run faults in about 1600 pages. A fresh process
+        # keeps the heap the rest of the suite leaves behind out of the count.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        done = subprocess.run([sys.executable, "-c", _REPEAT_RUN_FAULTS],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, check=True)
+        assert int(done.stdout) < 100
 
     def test_other_libc_left_alone(self, monkeypatch):
         opened = []

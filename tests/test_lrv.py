@@ -158,6 +158,9 @@ class TestKernelLrv:
             LrvConfig(bandwidth="fixed", fixed_bandwidth=0.5)
         with pytest.raises(DataError):
             LrvConfig(bandwidth="andrews", fixed_bandwidth=3.0)
+        for bandwidth in (math.inf, math.nan):
+            with pytest.raises(DataError, match="fixed bandwidth must be finite and >= 1"):
+                LrvConfig(bandwidth="fixed", fixed_bandwidth=bandwidth)
 
 
 class TestEstimateLrvSet:

@@ -472,6 +472,59 @@ class TestKmaxClamp:
         assert bounds == [1, 4, 4, 4]
 
 
+def _invariance_panel(data):
+    n = data.draw(st.integers(4, 20))
+    t = data.draw(st.integers(30, 60))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    return simulate(DgpConfig(framework="PANIC", n=n, T=t, K=1, lrv_ratio=0.8,
+                              seed=seed)).panel
+
+
+# Reordering units or shifting levels moves a statistic only by rounding: sums over
+# at most 20 units in another order, a few thousand ulps of float64 at most. 1e-9 is
+# the bound the other invariance suites use.
+_ROUNDING = 1e-9
+
+
+def _same_statistic(got, want):
+    assert got == pytest.approx(want, abs=_ROUNDING * (1.0 + abs(want)))
+
+
+class TestUnitInvariances:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([None, 1]))
+    def test_statistics_invariant_to_unit_order(self, data, k):
+        panel = _invariance_panel(data)
+        order = data.draw(st.permutations(range(panel.n_units)))
+        base = analyze(panel, k=k)
+        moved = analyze(Panel(panel.values[list(order)]), k=k)
+        assert moved.k == base.k
+        for name in TEST_NAMES:
+            _same_statistic(moved.outcomes[name].statistic, base.outcomes[name].statistic)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([None, 1]))
+    def test_difference_based_statistics_invariant_to_intercepts(self, data, k):
+        panel = _invariance_panel(data)
+        shifts = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=panel.n_units,
+                                    max_size=panel.n_units))
+        base = analyze(panel, k=k)
+        moved = analyze(Panel(panel.values + np.asarray(shifts)[:, None]), k=k)
+        assert moved.k == base.k
+        for name in ("t_ump", "t_ump_emp", "p_a", "p_b"):
+            _same_statistic(moved.outcomes[name].statistic, base.outcomes[name].statistic)
+
+    def test_level_based_statistics_move_with_intercepts(self):
+        # t_a and t_b regress levels on lagged levels without an intercept.
+        panel = simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1, lrv_ratio=0.8,
+                                   seed=5)).panel
+        shifts = np.random.default_rng(0).uniform(-50.0, 50.0, size=(12, 1))
+        base = analyze(panel, k=1)
+        moved = analyze(Panel(panel.values + shifts), k=1)
+        for name in ("t_a", "t_b"):
+            assert abs(moved.outcomes[name].statistic - base.outcomes[name].statistic) > 0.5
+
+
 class TestScaleInvariance:
     @given(scale=st.floats(1e-6, 1e6))
     @settings(max_examples=25, deadline=None)
