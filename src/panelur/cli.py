@@ -13,7 +13,9 @@ import json
 import platform
 import sys
 import time
+from collections import defaultdict
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from functools import partial
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -41,14 +43,111 @@ def load_panel_csv(path: str) -> Panel:
     first row; times are sorted, numerically where the labels are numbers. A
     faulty file, including one with a value that parses to nan or inf, raises
     DataError naming the physical line on which its first faulty record starts.
+    A plain file (see _load_plain) is read in blocks; any other file, and any
+    fault, goes through the csv module.
     """
+    panel = _load_plain(path)
+    return panel if panel is not None else _load_any(path)
+
+
+_BLOCK_BYTES = 1 << 18
+_NL, _CR, _COMMA, _QUOTE = (ord(c) for c in '\n\r,"')
+
+
+def _load_plain(path: str) -> Panel | None:
+    """load_panel_csv for a plain file, without the csv module's per-row loop.
+
+    A plain file is ASCII without quotes or lone carriage returns, with a matching
+    header and two commas on every later line, and every value a finite float.
+    Returns None for any other file, whose faults only _load_any locates. A plain
+    file's remaining faults, a repeated cell or an unbalanced panel, raise here
+    through _pivot, as they would there.
+    """
+    units, times = defaultdict(), defaultdict()  # raw label -> first-seen position
+    units.default_factory, times.default_factory = units.__len__, times.__len__
+    unit_codes, time_codes, values = [], [], []
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not (_plain(np.frombuffer(header, np.uint8))
+                and _is_header(header.decode("ascii").split(","))):
+            return None
+        for block in _line_blocks(fh):
+            rows = _plain_rows(block)
+            if rows is None:
+                return None
+            unit_labels, time_labels, observed = rows
+            unit_codes.append(_codes_in(units, unit_labels))
+            time_codes.append(_codes_in(times, time_labels))
+            values.append(observed)
+    if not values:
+        return None
+    unit_ids, unit_of = _label_codes(list(units))
+    time_ids, time_of = _label_codes(list(times), key=_label_key)
+    return _pivot(path, unit_ids, unit_of[np.concatenate(unit_codes)], time_ids,
+                  time_of[np.concatenate(time_codes)], np.concatenate(values))
+
+
+def _line_blocks(fh):
+    """The rest of a binary file in blocks of whole lines of about _BLOCK_BYTES; the
+    last block may lack its final newline."""
+    tail = b""
+    for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+        block = tail + chunk
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield tail
+
+
+def _plain(raw: np.ndarray) -> bool:
+    """Whether the bytes are ASCII without a quote or a carriage return outside CR LF."""
+    cr = np.flatnonzero(raw == _CR)
+    return bool(raw.max(initial=0) < 0x80 and not (raw == _QUOTE).any() and (
+        not cr.size or (cr[-1] + 1 < raw.size and (raw[cr + 1] == _NL).all())))
+
+
+def _plain_rows(block: bytes) -> tuple[list, list, np.ndarray] | None:
+    """The unit labels, time labels and finite values of a block of whole lines, or
+    None unless the block is plain with two commas on every line."""
+    raw = np.frombuffer(block, np.uint8)
+    if not _plain(raw):
+        return None
+    if block.endswith(b"\n"):  # so the split below makes no empty last record
+        block, raw = block[:-1], raw[:-1]
+    ends = np.append(np.flatnonzero(raw == _NL), raw.size)
+    commas_before = np.searchsorted(np.flatnonzero(raw == _COMMA), ends)
+    if (commas_before != 2 * np.arange(1, ends.size + 1)).any():
+        return None
+    fields = block.decode("ascii").replace("\n", ",").split(",")
+    try:
+        observed = np.array(fields[2::3], dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(observed).all():
+        return None
+    return fields[0::3], fields[1::3], observed
+
+
+def _codes_in(seen: defaultdict, labels: list) -> np.ndarray:
+    """Each label's value in seen, whose default_factory codes a new label."""
+    return np.fromiter(map(seen.__getitem__, labels), dtype=np.intp, count=len(labels))
+
+
+def _is_header(fields: list) -> bool:
+    return [c.strip().lower() for c in fields[:3]] == ["unit", "time", "value"]
+
+
+def _load_any(path: str) -> Panel:
+    """load_panel_csv through the csv module: quoted fields, any encoding and faults."""
     units: list = []
     times: list = []
     values: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:3]] != ["unit", "time", "value"]:
+        if header is None or not _is_header(header):
             raise DataError(f"{path}: expected header 'unit,time,value'")
         add_unit, add_time, add_value = units.append, times.append, values.append
         for row in reader:
@@ -70,16 +169,24 @@ def load_panel_csv(path: str) -> Panel:
     observed = np.array(values)
     if not np.isfinite(observed).all():
         _raise_at(path, None, units, times, observed)
-    unit_ids, time_ids, rows = _index_rows(path, units, times)
-    if not values:
+    return _pivot(path, *_label_codes(units), *_label_codes(times, key=_label_key), observed)
+
+
+def _pivot(path: str, unit_ids: tuple, unit_idx: np.ndarray, time_ids: tuple,
+           time_idx: np.ndarray, values: np.ndarray) -> Panel:
+    """The Panel with values[r] in row (unit_idx[r], time_idx[r]). Raises DataError at
+    the first row, in file order, that repeats a cell, then if the panel is empty or
+    not balanced."""
+    _check_repeats(path, unit_ids, unit_idx, time_ids, time_idx)
+    if not values.size:
         raise DataError(f"{path}: no observations")
-    if len(values) != len(unit_ids) * len(time_ids):
+    if values.size != len(unit_ids) * len(time_ids):
         raise DataError(
-            f"{path}: unbalanced panel: {len(values)} rows for "
+            f"{path}: unbalanced panel: {values.size} rows for "
             f"{len(unit_ids)} units x {len(time_ids)} times"
         )
     grid = np.empty((len(unit_ids), len(time_ids)))
-    grid[rows] = observed
+    grid[unit_idx, time_idx] = values
     return Panel(grid, unit_ids=unit_ids, time_ids=time_ids)
 
 
@@ -109,18 +216,17 @@ def _raise_at(path: str, fault: str | None, units: list, times: list, values):
     a non-finite value. Without one, raise fault for the record after them."""
     finite = np.isfinite(values)
     row = len(units) if finite.all() else int(finite.argmin())
-    _index_rows(path, units[:row], times[:row])
+    _check_repeats(path, *_label_codes(units[:row]),
+                   *_label_codes(times[:row], key=_label_key))
     line, record = _record(path, row)
     if row < len(units):
         fault = f"non-finite value {record[2].strip()!r}"
     raise DataError(f"{path}:{line}: {fault}")
 
 
-def _index_rows(path: str, units: list, times: list):
-    """Unit labels (first-seen order), time labels (sorted) and each row's (unit, time)
-    index arrays. Raises DataError at the first row, in file order, that repeats a cell."""
-    unit_ids, unit_idx = _label_codes(units)
-    time_ids, time_idx = _label_codes(times, key=_label_key)
+def _check_repeats(path: str, unit_ids: tuple, unit_idx: np.ndarray, time_ids: tuple,
+                   time_idx: np.ndarray) -> None:
+    """Raise DataError at the first row, in file order, that repeats a (unit, time) cell."""
     cells = unit_idx * len(time_ids) + time_idx
     order = np.argsort(cells, kind="stable")
     repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
@@ -128,7 +234,6 @@ def _index_rows(path: str, units: list, times: list):
         row = int(repeats.min())
         key = (unit_ids[unit_idx[row]], time_ids[time_idx[row]])
         raise DataError(f"{path}:{_record(path, row)[0]}: duplicate observation for {key}")
-    return unit_ids, time_ids, (unit_idx, time_idx)
 
 
 def _label_codes(raw: list, key=None) -> tuple[tuple, np.ndarray]:

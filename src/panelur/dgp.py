@@ -56,6 +56,15 @@ class InnovationSpec:
             raise DataError(f"target_lrv must be positive and finite, got {self.target_lrv}")
 
 
+def _check_integers(config, names) -> None:
+    """Raise DataError naming the first field in names that is not an integer; a bool
+    is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Full specification of one simulated panel experiment."""
@@ -75,10 +84,7 @@ class DgpConfig:
     def __post_init__(self):
         if self.framework not in ("MP", "PANIC"):
             raise DataError(f"framework must be 'MP' or 'PANIC', got {self.framework!r}")
-        for name in ("n", "T", "K", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, ("n", "T", "K", "seed"))
         if self.n < 1 or self.T < 2:
             raise DataError("need n >= 1 and T >= 2")
         if not self.h <= 0.0:

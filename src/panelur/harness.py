@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .asymptotics import local_power_mp_bn, power_envelope
-from .dgp import DgpConfig, InnovationSpec, simulate_many
+from .dgp import DgpConfig, InnovationSpec, _check_integers, simulate_many
 from .errors import DataError
 from .lrv import LrvConfig
 from .statistics import ANALYSIS_ERRORS, TEST_NAMES, analyze_many, check_alpha
@@ -103,6 +103,7 @@ class Experiment:
     base_seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, ("replications", "k_max", "base_seed"))
         if self.replications < 1:
             raise DataError("need at least one replication")
         check_alpha(self.alpha)

@@ -4,10 +4,11 @@ import csv
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from panelur import DgpConfig, analyze, cli, harness, simulate, statistics
@@ -39,6 +40,53 @@ def _run_test_json(panel_path, *extra):
         code = main(["test", str(panel_path), "--json", *extra])
     assert code == 0
     return json.loads(buf.getvalue())
+
+
+def _outcome(load, path):
+    """A comparable summary of load(path): the Panel's labels and values, or the error."""
+    try:
+        panel = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if panel is None:
+        return None
+    return panel.unit_ids, panel.time_ids, panel.values.tolist()
+
+
+# Labels and value spellings on which float(), str.strip(), the csv module and a plain
+# split could disagree: padding, numeric-looking labels, underscores, nan/inf spellings,
+# overflow, a separator that float() rejects but strip() removes, non-ASCII and quotes.
+_LABELS = ["a", " a", "a ", "b", "1", "01", "1.0", "10", "x\x1c"]
+_ODD_LABELS = ["\u00e9", '"c"', '"d,e"']
+_ODD_VALUES = ["1_0", " 3.25 ", "\t-2\t", "nan", "inf", "-Infinity", "1e400", "\x1c1.5",
+               "\u0663", '"4.0"', "oops", "", "0x10", "+.5"]
+
+
+@st.composite
+def _panel_files(draw):
+    """Bytes of a long panel CSV: a clean balanced grid, then a few faults drawn in."""
+    labels = st.sampled_from(_LABELS + (_ODD_LABELS if draw(st.booleans()) else []))
+    units = draw(st.lists(labels, min_size=1, max_size=3))
+    times = draw(st.lists(labels, min_size=1, max_size=3))
+    cells = draw(st.permutations([(u, t) for u in units for t in times]))
+    cells = cells[:len(cells) - draw(st.integers(0, 1))]
+    cells += draw(st.lists(st.sampled_from(cells), max_size=1)) if cells else []
+    lines = [f"{u},{t},{v!r}" for (u, t), v in
+             zip(cells, draw(st.lists(st.floats(-1e6, 1e6), min_size=len(cells),
+                                      max_size=len(cells))))]
+    index = st.integers(0, max(len(lines) - 1, 0))
+    for i, value in draw(st.lists(st.tuples(index, st.sampled_from(_ODD_VALUES)), max_size=2)):
+        if lines:
+            lines[i] = lines[i].rsplit(",", 1)[0] + "," + value
+    if lines and draw(st.booleans()):  # a field too many, a lone CR, or a blank line
+        i = draw(index)
+        lines[i:i + 1] = draw(st.sampled_from([[lines[i] + ","], [lines[i].replace(",", "\r,", 1)],
+                                               ["", lines[i]], ["  ", lines[i]]]))
+    header = draw(st.sampled_from(["unit,time,value", " Unit ,TIME, value ",
+                                   "unit,time,value,note", "unit,time"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([header, *lines]) + (end if draw(st.booleans()) else "")
+    return text.encode("utf-8")
 
 
 class TestPanelCsv:
@@ -193,6 +241,39 @@ class TestPanelCsv:
         assert back.unit_ids == first_seen
         assert back.time_ids == panel.time_ids
         assert np.array_equal(back.values, panel.values[order])
+
+    @pytest.mark.parametrize("block_bytes", [None, 16])
+    def test_plain_file_read_without_csv_module(self, tmp_path, monkeypatch, block_bytes):
+        rng = np.random.default_rng(5)
+        panel = Panel(rng.normal(size=(60, 200)), unit_ids=tuple(f"u{i}" for i in range(60)),
+                      time_ids=tuple(range(1, 201)))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, panel)
+        if block_bytes is not None:  # shorter than a line: every block ends mid-line
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        assert b"\r\n" in path.read_bytes()[:20]
+        assert path.stat().st_size > cli._BLOCK_BYTES
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain file")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        back = load_panel_csv(str(path))
+        assert np.array_equal(back.values, panel.values)
+        assert back.unit_ids == panel.unit_ids
+        assert back.time_ids == tuple(str(t) for t in panel.time_ids)
+
+    @given(_panel_files(), st.sampled_from([cli._BLOCK_BYTES, 1, 7, 32]))
+    @settings(max_examples=300, deadline=None)
+    @example(b"unit,time,value\nA,1\r,1.0\nA,2,2.0\n", cli._BLOCK_BYTES)  # a lone CR
+    def test_block_and_csv_paths_agree(self, content, block_bytes):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+            path = os.path.join(tmp, "panel.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            event("block path" if _outcome(cli._load_plain, path) is not None else "csv path")
+            assert _outcome(load_panel_csv, path) == _outcome(cli._load_any, path)
 
 
 class TestSimulateAndTest:

@@ -244,6 +244,10 @@ class TestRun:
         (dict(h_values=(0.0, float("nan"))), "h must be <= 0, got nan"),
         (dict(k=-1), "number of factors K must be >= 0, got -1"),
         (dict(k_max=-1, k_known=False), "k_max must be non-negative, got -1"),
+        (dict(replications=2.9), "replications must be an integer, got 2.9"),
+        (dict(replications=True), "replications must be an integer, got True"),
+        (dict(k_max=2.5, k_known=False), "k_max must be an integer, got 2.5"),
+        (dict(base_seed=1.5), "base_seed must be an integer, got 1.5"),
     ])
     def test_invalid_cell_fails_at_construction(self, grid, message):
         with pytest.raises(DataError, match=message):
