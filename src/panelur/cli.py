@@ -84,7 +84,7 @@ def _load_plain(path: str) -> Panel | None:
     if not values:
         return None
     unit_ids, unit_of = _label_codes(list(units))
-    time_ids, time_of = _label_codes(list(times), key=_label_key)
+    time_ids, time_of = _time_codes(path, list(times))
     return _pivot(path, unit_ids, unit_of[np.concatenate(unit_codes)], time_ids,
                   time_of[np.concatenate(time_codes)], np.concatenate(values))
 
@@ -148,30 +148,36 @@ def _load_any(path: str) -> Panel:
     values: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # such as a field above csv.field_size_limit()
+            raise DataError(f"{path}:1: {exc}") from None
         if header is None or not _is_header(header):
             raise DataError(f"{path}: expected header 'unit,time,value'")
         add_unit, add_time, add_value = units.append, times.append, values.append
-        for row in reader:
-            if len(row) != 3:
-                if _is_blank(row):
-                    continue
-                _raise_at(path, f"expected 3 fields, got {len(row)}", units, times, values)
-            unit, time_label, value = row
-            try:
-                add_value(float(value))
-            except ValueError:
-                try:  # str.strip() removes a few characters that float() rejects
-                    add_value(float(value.strip()))
+        try:
+            for row in reader:
+                if len(row) != 3:
+                    if _is_blank(row):
+                        continue
+                    _raise_at(path, f"expected 3 fields, got {len(row)}", units, times, values)
+                unit, time_label, value = row
+                try:
+                    add_value(float(value))
                 except ValueError:
-                    _raise_at(path, f"non-numeric value {value.strip()!r}", units, times,
-                              values)
-            add_unit(unit)
-            add_time(time_label)
+                    try:  # str.strip() removes a few characters that float() rejects
+                        add_value(float(value.strip()))
+                    except ValueError:
+                        _raise_at(path, f"non-numeric value {value.strip()!r}", units, times,
+                                  values)
+                add_unit(unit)
+                add_time(time_label)
+        except csv.Error as exc:
+            _raise_at(path, str(exc), units, times, values)
     observed = np.array(values)
     if not np.isfinite(observed).all():
         _raise_at(path, None, units, times, observed)
-    return _pivot(path, *_label_codes(units), *_label_codes(times, key=_label_key), observed)
+    return _pivot(path, *_label_codes(units), *_time_codes(path, times), observed)
 
 
 def _pivot(path: str, unit_ids: tuple, unit_idx: np.ndarray, time_ids: tuple,
@@ -198,18 +204,22 @@ def _is_blank(row: list) -> bool:
 
 def _record(path: str, row: int) -> tuple[int, list]:
     """The physical line on which the row-th (from 0) non-blank record after the header
-    starts, and its fields. Called only on a fault, so the loader's loop keeps no line
-    numbers."""
+    starts, and its fields (None when the csv module cannot parse it). Called only on a
+    fault, so the loader's loop keeps no line numbers."""
+    record = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         start = reader.line_num + 1
-        for record in reader:
-            if not _is_blank(record):
-                if row == 0:
-                    break
-                row -= 1
-            start = reader.line_num + 1
+        try:
+            for record in reader:
+                if not _is_blank(record):
+                    if row == 0:
+                        break
+                    row -= 1
+                start = reader.line_num + 1
+        except csv.Error:  # the faulty record itself: start is its first line
+            record = None
     return start, record
 
 
@@ -248,6 +258,16 @@ def _label_codes(raw: list, key=None) -> tuple[tuple, np.ndarray]:
     position = {label: i for i, label in enumerate(labels)}
     code = {label: position[label.strip()] for label in distinct}
     return tuple(labels), np.fromiter(map(code.__getitem__, raw), dtype=np.intp, count=len(raw))
+
+
+def _time_codes(path: str, raw: list) -> tuple[tuple, np.ndarray]:
+    """_label_codes of the time labels in _label_key order. Two distinct labels that
+    rank equal, such as '2' and '02', raise DataError: they would be two periods."""
+    labels, codes = _label_codes(raw, key=_label_key)
+    for a, b in zip(labels, labels[1:]):
+        if _label_key(a) == _label_key(b):
+            raise DataError(f"{path}: time labels {a!r} and {b!r} name the same period")
+    return labels, codes
 
 
 def _label_key(label: str):

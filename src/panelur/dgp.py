@@ -156,27 +156,31 @@ def _components(config: DgpConfig):
     and PANIC panels identical under the null for a common seed.
     """
     n, T, K = config.n, config.T, config.K
-    streams = np.random.SeedSequence(config.seed).spawn(5)
-    rng_load, rng_lrv, rng_het, rng_f, rng_eta = (np.random.default_rng(s) for s in streams)
+
+    def stream(i: int) -> np.random.Generator:
+        # The i-th child of SeedSequence(seed).spawn(5), built alone: only the
+        # streams a config draws from are made.
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
 
     if K > 0:
-        loadings = rng_load.normal(loc=1.0 / math.sqrt(K), scale=1.0 / math.sqrt(K), size=(n, K))
+        loadings = stream(0).normal(loc=1.0 / math.sqrt(K), scale=1.0 / math.sqrt(K),
+                                    size=(n, K))
     else:
         loadings = np.zeros((n, 0))
 
     mu, sigma2 = lognormal_heterogeneity_params(config.lrv_ratio)
     if sigma2 > 0.0:
-        lrv_draws = rng_lrv.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n)
+        lrv_draws = stream(1).lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n)
     else:
         lrv_draws = np.ones(n)
     unit_lrvs = config.idio_spec.target_lrv * lrv_draws
 
     if config.heterogeneous_alternatives:
-        u = rng_het.uniform(0.2, 1.8, size=n)
+        u = stream(2).uniform(0.2, 1.8, size=n)
     else:
         u = np.ones(n)
     rho_units = 1.0 + config.h * u / (math.sqrt(n) * T)
-    return loadings, unit_lrvs, rho_units, rng_f, rng_eta
+    return loadings, unit_lrvs, rho_units, stream(3), stream(4)
 
 
 def simulate_many(configs) -> list[SimulatedPanel]:

@@ -9,6 +9,13 @@ O(n T' min(n, T')), and no n x n array is formed when n > T'. Its reduction
 to tridiagonal form costs O(m^3), m = min(n, T'); the fit then computes only
 its k leading eigenpairs and back-transforms only those k vectors, where a
 full eigendecomposition would take all m. Selection needs eigenvalues only.
+
+`fit_stack` fits a stack of panels of one shape, R x n x T' unit-major: the
+Gram products, the back-transform and the residuals are batched matmuls
+over the stack, and only the eigensolves run panel by panel. Selection
+reads the eigenvalues of the Gram matrix the fit then solves for vectors.
+`estimate_factors` and `select_num_factors` are its one-panel case (R = 1),
+and every step is per panel, so a panel's fit has the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -52,27 +59,15 @@ def estimate_factors(d: DiffPanel, k: int) -> FactorFit:
     to the input differences. A k above the rank of the differenced panel
     raises NumericalError.
     """
-    n, tp = d.values.shape
-    if k < 0 or k > min(n, tp):
-        raise DimensionError(f"k={k} outside 0..min(n={n}, T'={tp})")
-    if k == 0:
-        return FactorFit(
-            loadings_bar=np.zeros((n, 0)),
-            loadings_hat=np.zeros((n, 0)),
-            factor_diffs=np.zeros((tp, 0)),
-            residuals=d,
-            k=0,
-        )
-    x = d.values.T  # (T-1) x n, time-major
-    loadings_bar = np.sqrt(n) * _principal_components(x, k)[1]
-    factor_diffs = x @ loadings_bar / n
-    loadings_hat = x.T @ factor_diffs / tp  # = S @ loadings_bar
-    resid = x - factor_diffs @ loadings_bar.T
+    fits, errors = fit_stack(d.values[None], k)
+    if errors:
+        raise errors[0]
+    (_, loadings_bar, loadings_hat, factor_diffs, resid), = fits.values()
     return FactorFit(
-        loadings_bar=loadings_bar,
-        loadings_hat=loadings_hat,
-        factor_diffs=factor_diffs,
-        residuals=DiffPanel(resid.T),
+        loadings_bar=loadings_bar[0],
+        loadings_hat=loadings_hat[0],
+        factor_diffs=factor_diffs[0],
+        residuals=d if k == 0 else DiffPanel(resid[0]),
         k=k,
     )
 
@@ -85,11 +80,63 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     differences. Ties break toward fewer factors. The search stops at the rank that
     `estimate_factors` guards: beyond it V(k) is rounding noise, whose log would win.
     """
-    n, tp = d.values.shape
+    x = d.values[None]
+    n, tp = x.shape[1:]
     if k_max < 0 or k_max > min(n, tp):
         raise DimensionError(f"k_max={k_max} outside 0..min(n={n}, T'={tp})")
-    x = d.values.T
-    total = float(np.mean(x * x))
+    return _select(_second_moments(x)[0], _mean_squares(x)[0], n, tp, k_max)
+
+
+def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> tuple[dict, dict]:
+    """Principal-components fits to a stack of R differenced n x T' panels (R x n x T').
+
+    With k None each panel's factor count is selected by IC_p2 over
+    0..k_max. Returns ({k: (rows, loadings_bar, loadings_hat, factor_diffs,
+    residuals)}, {row: error}): the panels fitted with k factors, by their
+    rows in x, with their results stacked in that order, and the DataError or
+    NumericalError of each panel whose selection or fit failed.
+    """
+    n, tp = x.shape[1:]
+    grams = _second_moments(x) if k != 0 else [None] * len(x)
+    totals = _mean_squares(x) if k is None else None
+    chosen: dict = {}
+    errors = {}
+    for r, gram in enumerate(grams):
+        try:
+            kr = k if k is not None else _select(gram, totals[r], n, tp, k_max)
+            if kr < 0 or kr > min(n, tp):
+                raise DimensionError(f"k={kr} outside 0..min(n={n}, T'={tp})")
+            vecs = _eigen(gram, n, tp, kr)[1] if kr else None
+            chosen.setdefault(kr, []).append((r, vecs))
+        except (DataError, NumericalError) as exc:
+            errors[r] = exc
+    fits = {}
+    for kr, picked in chosen.items():
+        rows = [r for r, _ in picked]
+        xk = x if len(rows) == len(x) else x[rows]
+        if kr == 0:
+            empty = np.zeros((len(rows), n, 0))
+            fits[kr] = (rows, empty, empty, np.zeros((len(rows), tp, 0)), xk)
+        else:
+            fits[kr] = (rows, *_fit_arrays(xk, np.stack([v for _, v in picked])))
+    return fits, errors
+
+
+def _second_moments(x: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of each unit-major n x T' panel in the stack x, over n T':
+    S = X'X / (n T') when n <= T', else XX' / (n T') (X time-major)."""
+    n, tp = x.shape[-2:]
+    xt = np.swapaxes(x, -1, -2)
+    return (x @ xt if n <= tp else xt @ x) / (n * tp)
+
+
+def _mean_squares(x: np.ndarray) -> np.ndarray:
+    """V(0), the mean square of each panel in the stack x."""
+    return np.mean(x * x, axis=(-2, -1))
+
+
+def _select(gram: np.ndarray, total: float, n: int, tp: int, k_max: int) -> int:
+    """IC_p2's factor count for one panel from its Gram matrix and V(0) = total."""
     if total <= 0.0:
         raise DataError("differenced panel is identically zero")
     penalty = (n + tp) / (n * tp) * np.log(min(n, tp))
@@ -97,9 +144,9 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     if k_max == 0:
         return best_k
     # V(k) = V(0) - sum of the k largest eigenvalues of X'X / (n T').
-    eigvals = _principal_components(x, k_max, vectors=False)[0]
+    eigvals = _eigen(gram, n, tp)[0][:k_max]
     rank = int(np.count_nonzero(eigvals > _rank_tolerance(n, tp, eigvals[0])))
-    running = total
+    running = float(total)
     for k in range(1, rank + 1):
         running -= eigvals[k - 1]
         vk = max(running, 1e-300)
@@ -109,47 +156,55 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     return best_k
 
 
-def _principal_components(x: np.ndarray, k: int, vectors: bool = True):
-    """The k largest eigenvalues of S = X'X / (n T') in descending order and, with
-    vectors, its k leading unit eigenvectors (n x k, largest-magnitude entry of each
-    positive), else None.
+def _eigen(gram: np.ndarray, n: int, tp: int, k: int | None = None):
+    """Eigenvalues of one panel's Gram matrix in descending order: all of them when k
+    is None, else the k largest with their unit eigenvectors (m x k, C-ordered).
 
-    X is the time-major T' x n difference matrix. The eigenproblem is solved on the
-    smaller of S and XX' / (n T'); the two share their nonzero eigenvalues. With
-    vectors, LAPACK's ?syevr computes only the k leading eigenpairs, and a k above
-    the rank raises NumericalError. Without, it computes the whole spectrum without
-    vectors: for the k_max = 6 that selection uses, bisection for the k largest
-    eigenvalues alone takes longer than the root-free QR for all of them.
+    LAPACK's ?syevr computes only the k leading eigenpairs, and a k above the rank
+    raises NumericalError. For the eigenvalues alone it computes the whole spectrum
+    without vectors: for the k_max = 6 that selection uses, bisection for the k
+    largest eigenvalues alone takes longer than the root-free QR for all of them.
     """
-    tp, n = x.shape
-    primal = n <= tp
-    gram = (x.T @ x if primal else x @ x.T) / (n * tp)
     m = gram.shape[0]
-    if vectors:
+    if k is None:
+        eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, compute_v=0, lower=1)
+    else:
         eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, range="I", lower=1,
                                                      il=m - k + 1, iu=m)
-    else:
-        eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, compute_v=0, lower=1)
     if info != 0:
         raise NumericalError(f"factor fit: the eigensolver failed on the {m} x {m} "
                              f"second-moment matrix (LAPACK ?syevr info={info})")
-    if not vectors:
-        return eigvals[::-1][:k], None
+    if k is None:
+        return eigvals[::-1], None
     eigvals = eigvals[k - 1::-1]
     if eigvals[k - 1] <= _rank_tolerance(n, tp, eigvals[0]):
         raise NumericalError(
             f"factor fit: k={k} exceeds the rank of the differenced panel "
             f"(eigenvalue {k} is zero to working precision)"
         )
-    vecs = eigvecs[:, ::-1]
-    if not primal:
-        vecs = x.T @ vecs
-        vecs /= np.linalg.norm(vecs, axis=0)
-    # Sign convention: largest-magnitude entry of each eigenvector positive.
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[anchor, np.arange(k)])
+    return eigvals, np.ascontiguousarray(eigvecs[:, ::-1])
+
+
+def _fit_arrays(x: np.ndarray, vecs: np.ndarray) -> tuple:
+    """(loadings_bar, loadings_hat, factor_diffs, residuals) of a stack of panels x from
+    the k leading unit eigenvectors of their Gram matrices (R x m x k).
+
+    A dual vector u maps to X'u / |X'u|; each vector's largest-magnitude entry is
+    made positive.
+    """
+    n, tp = x.shape[-2:]
+    xt = np.swapaxes(x, -1, -2)
+    if n > tp:
+        vecs = x @ vecs
+        vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
+    anchor = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(vecs, anchor, axis=-2))
     signs[signs == 0] = 1.0
-    return eigvals, vecs * signs
+    loadings_bar = np.sqrt(n) * (vecs * signs)
+    factor_diffs = xt @ loadings_bar / n
+    loadings_hat = x @ factor_diffs / tp  # = S @ loadings_bar
+    resid = x - loadings_bar @ np.swapaxes(factor_diffs, -1, -2)
+    return loadings_bar, loadings_hat, factor_diffs, resid
 
 
 def _rank_tolerance(n: int, tp: int, largest: float) -> float:

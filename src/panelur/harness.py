@@ -9,9 +9,11 @@ keeps their power comparison free of simulation noise.
 
 Each task, a contiguous range of replications of one cell, runs in batches.
 A batch is simulated by one `dgp.simulate_many` call (one stacked set of
-recursions) and analyzed by one `statistics.analyze_many` call (one stacked
-LRV pass over the residuals of all its panels); factor selection, the fit
-and the six statistics stay per replication. A batch stacks at most
+recursions) and analyzed by one `statistics.analyze_many` call: the
+differencing, the factor fit and the six statistics run over the stacked
+R x n x T' panels (per factor count when k is selected), with one LRV pass
+over all their residuals; only the eigensolves of the fit and the factor
+selection run replication by replication. A batch stacks at most
 _STACKED_CELLS panel cells (replications times n T), and at least one
 replication, so large cells fall back to small batches and bounded memory.
 Every step is row-local, so a replication's result is bit-identical to

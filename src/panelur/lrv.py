@@ -82,19 +82,22 @@ class LrvSet:
 
     @property
     def n_units(self) -> int:
-        return self.omega2.size
+        return self.omega2.shape[-1]
+
+    # Pooled over the units of each panel: a float for one panel, else an array
+    # over the leading axes of a stack of panels.
 
     @property
-    def pooled_omega2(self) -> float:
-        return float(np.mean(self.omega2))
+    def pooled_omega2(self):
+        return np.mean(self.omega2, axis=-1)
 
     @property
-    def pooled_phi4(self) -> float:
-        return float(np.mean(self.omega2 ** 2))
+    def pooled_phi4(self):
+        return np.mean(self.omega2 ** 2, axis=-1)
 
     @property
-    def pooled_delta(self) -> float:
-        return float(np.mean(self.delta))
+    def pooled_delta(self):
+        return np.mean(self.delta, axis=-1)
 
 
 def _autocov(x: np.ndarray, m: int) -> np.ndarray:
@@ -284,7 +287,13 @@ def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.nda
     return omega2, delta, gamma0
 
 
-def estimate_lrv_set(residuals: DiffPanel, cfg: LrvConfig) -> LrvSet:
-    """Per-unit LRV estimation over a residual panel, with pooled aggregates."""
-    omega2, delta, gamma0 = _batch_kernel_lrv(residuals.values, cfg)
+def estimate_lrv_set(residuals: DiffPanel | np.ndarray, cfg: LrvConfig) -> LrvSet:
+    """Per-unit LRV estimation over a residual panel, with pooled aggregates.
+
+    residuals may also be an array of residual rows with leading axes, such as
+    a stack of R panels (R x n x T'); the LrvSet's arrays then keep those axes.
+    """
+    x = residuals.values if isinstance(residuals, DiffPanel) else residuals
+    estimates = _batch_kernel_lrv(x.reshape(-1, x.shape[-1]), cfg)
+    omega2, delta, gamma0 = (a.reshape(x.shape[:-1]) for a in estimates)
     return LrvSet(omega2=omega2, delta=delta, gamma0=gamma0)

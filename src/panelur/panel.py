@@ -83,6 +83,14 @@ class DiffPanel:
         return self.values.shape[1]
 
 
+def _diff_view(values: np.ndarray) -> DiffPanel:
+    """A DiffPanel over values, a read-only finite float array made inside the package:
+    no copy and no check, for the per-panel views of a stacked array."""
+    panel = object.__new__(DiffPanel)
+    object.__setattr__(panel, "values", values)
+    return panel
+
+
 def difference(p: Panel) -> DiffPanel:
     """First-difference a panel along time: out[i, t] = p[i, t+1] - p[i, t]."""
     if p.n_periods < 2:

@@ -7,28 +7,39 @@ conventions are applied consistently across the optimal statistics and the
 pooled-autoregression tests, which is what makes the homogeneous-variance
 reduction of the optimal test to P_b exact in finite samples. `analyze`
 runs the whole recipe on a level panel and returns all six outcomes;
-`analyze_many` runs it over a batch of panels with one stacked LRV pass,
-and `analyze` is its one-panel case.
+`analyze_many` runs it over a batch of panels, and `analyze` is its
+one-panel case.
 
 Every test removes the factor space with one operator, `PrecisionMatrix`:
 Omega^{-1} - W (P + L'W)^{-1} W' with W = Omega^{-1} L. The optimal tests
 use it with the estimated LRVs and P = 0, the MP tests with unit weights
 (the projection I - L (L'L)^{-1} L'). It is kept as a diagonal plus a
-rank-K factor and applied in O(nTK); no statistic forms an n x n matrix.
+rank-K factor, and no statistic forms an n x n matrix or even the operator
+applied to the panel: a pooled sum over a Psi b is
+sum_i Omega_ii^{-1} <a_i, b_i> - sum (W'a) o ((P + L'W)^{-1} W'b),
+per-unit row dots plus K x T' projections.
+
+The operator and the statistics take optional leading axes: a stack of R
+panels of one shape (R x n x T) is one set of batched matmuls, row dots and
+per-panel reductions, and every step is per panel, so a panel's statistics
+have the same bits in any stack. `analyze_many` stacks the panels of a
+batch by shape and factor count for the differencing, the factor fit (only
+the eigensolves run panel by panel) and the six statistics, and makes one
+LRV pass per panel length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DataError, DimensionError, NumericalError
-from .factors import FactorFit, estimate_factors, select_num_factors
+from .factors import FactorFit, fit_stack
 from .lrv import LrvConfig, LrvSet, estimate_lrv_set
-from .panel import DiffPanel, Panel, difference, lagged_cumsum
+from .panel import DiffPanel, Panel, _diff_view, lagged_cumsum
 
 __all__ = [
     "Analysis",
@@ -48,11 +59,22 @@ __all__ = [
 TEST_NAMES = ("t_ump", "t_ump_emp", "p_a", "p_b", "t_a", "t_b")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dots: the sum of a * b along the last axis."""
+    return np.einsum("...t,...t->...", a, b)
+
+
+def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of a * b over the last two axes, K x T' projections of one panel."""
+    return np.einsum("...kt,...kt->...", a, b)
+
+
 class PrecisionMatrix:
     """Omega^{-1} - W (P + L'W)^{-1} W' with W = Omega^{-1} L, held in factored form.
 
     Built from the inverse weights Omega^{-1} (an n-vector), loadings L
-    (n x K, or None for K = 0) and an optional K-vector P. With P absent it
+    (n x K, or None for K = 0) and an optional K-vector P, each with the same
+    optional leading axes for a stack of panels. With P absent it
     annihilates L and is invariant to L -> L R for invertible R; with unit
     weights it is the projection I - L (L'L)^{-1} L'. With
     P = 1 / omega_f^2 it is the Sherman-Morrison-Woodbury inverse of
@@ -62,17 +84,19 @@ class PrecisionMatrix:
     def __init__(self, inv_weights: np.ndarray, loadings: np.ndarray | None = None,
                  prior: np.ndarray | None = None):
         inv = np.asarray(inv_weights, dtype=float)
-        n = inv.size
-        lam = np.zeros((n, 0)) if loadings is None else np.asarray(loadings, dtype=float)
-        if lam.ndim != 2 or lam.shape[0] != n:
+        n = inv.shape[-1]
+        lam = (np.zeros(inv.shape + (0,)) if loadings is None
+               else np.asarray(loadings, dtype=float))
+        if lam.shape[:-1] != inv.shape:
             raise DimensionError(f"loadings must be n x K with n = {n} units, got {lam.shape}")
-        k = lam.shape[1]
-        weighted = inv[:, None] * lam
-        inner = lam.T @ weighted
+        k = lam.shape[-1]
+        weighted = inv[..., None] * lam
+        inner = np.swapaxes(lam, -1, -2) @ weighted
         if prior is not None:
-            inner += np.diag(prior)
+            diag = np.arange(k)
+            inner[..., diag, diag] += prior
         try:
-            solved = np.linalg.solve(inner, weighted.T)
+            solved = np.linalg.solve(inner, np.swapaxes(weighted, -1, -2))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular {k} x {k} loading Gram matrix over {n} units") from exc
         self.inv_weights = inv
@@ -81,16 +105,25 @@ class PrecisionMatrix:
 
     @property
     def k(self) -> int:
-        return self.weighted.shape[1]
+        return self.weighted.shape[-1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator times an n x T array, in O(nTK)."""
-        return self.inv_weights[:, None] * x - self.weighted @ (self.solved @ x)
+        return self.inv_weights[..., None] * x - self.weighted @ (self.solved @ x)
+
+    def scores(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W'x, (P + L'W)^{-1} W'x), the K x T projections of an n x T array."""
+        return np.swapaxes(self.weighted, -1, -2) @ x, self.solved @ x
+
+    def pooled(self, a: np.ndarray, b: np.ndarray, wa: np.ndarray,
+               sb: np.ndarray) -> np.ndarray:
+        """sum(a * (Psi b)) per panel, given the scores wa of a and sb of b."""
+        return _dot(self.inv_weights, _dot(a, b)) - _dot2(wa, sb)
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n matrix; the statistics never form it."""
-        return self.apply(np.eye(self.inv_weights.size))
+        return self.apply(np.eye(self.inv_weights.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -106,7 +139,10 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class UmpIntermediates:
-    """Central-sequence value, empirical information, and the bias-correction term."""
+    """Central-sequence value, empirical information, and the bias-correction term.
+
+    Floats for one panel; arrays over the leading axes of a stack of panels.
+    """
 
     delta_hat: float
     j_hat: float
@@ -119,15 +155,20 @@ def check_alpha(alpha: float) -> None:
         raise DataError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _outcome(name: str, statistic: float, alpha: float) -> TestOutcome:
+def _outcomes(names: tuple, statistics, alpha: float):
+    """TestOutcomes of statistics laid out (..., len(names)).
+
+    One panel's statistics give a tuple of outcomes in names order; a stack's
+    give a list of such tuples, one per panel. ndtr runs once over all of them.
+    """
     check_alpha(alpha)
-    return TestOutcome(
-        name=name,
-        statistic=float(statistic),
-        p_value=float(ndtr(statistic)),
-        reject=bool(statistic <= ndtri(alpha)),
-        alpha=alpha,
-    )
+    stats = np.asarray(statistics, dtype=float)
+    rows = stats.reshape(-1, len(names))
+    per_panel = [tuple(TestOutcome(name=name, statistic=s, p_value=p, reject=r, alpha=alpha)
+                       for name, s, p, r in zip(names, *row))
+                 for row in zip(rows.tolist(), ndtr(rows).tolist(),
+                                (rows <= ndtri(alpha)).tolist())]
+    return per_panel[0] if stats.ndim == 1 else per_panel
 
 
 def precision_matrix(lrvs: LrvSet, loadings: np.ndarray | None) -> PrecisionMatrix:
@@ -141,65 +182,91 @@ def precision_matrix(lrvs: LrvSet, loadings: np.ndarray | None) -> PrecisionMatr
 
 
 def _used_columns(values: np.ndarray) -> np.ndarray:
-    tp = values.shape[1]
-    if tp < 2:
+    if values.shape[-1] < 2:
         raise DimensionError("need at least two difference columns")
-    return values[:, 1:]
+    return values[..., 1:]
 
 
-def ump_statistics(d: DiffPanel, psi: PrecisionMatrix, lrvs: LrvSet) -> UmpIntermediates:
+def ump_statistics(d: DiffPanel | np.ndarray, psi: PrecisionMatrix,
+                   lrvs: LrvSet) -> UmpIntermediates:
     """Central sequence and empirical information from a differenced panel.
 
-    Running partial sums and the factored precision give O(nTK); the first
-    difference column is excluded from both pooled sums and the normalizers
-    use the number of difference columns T'.
+    Running partial sums L of the differences U and the factored precision
+    give O(nTK): sum L o Psi U and sum L o Psi L are row dots less the K x T'
+    projections, and W'L, (P + L'W)^{-1} W'L are the running sums of the
+    projections of U. The first difference column is excluded from both
+    pooled sums and the normalizers use the number of difference columns T'.
+    d may be a stack of panels (R x n x T') with psi and lrvs stacked alike.
     """
-    x = d.values
-    n, tp = x.shape
+    x = getattr(d, "values", d)
+    n, tp = x.shape[-2:]
     used = _used_columns(x)
     lagged = lagged_cumsum(used)
-    quad = float(np.sum(lagged * psi.apply(used)))
-    jquad = float(np.sum(lagged * psi.apply(lagged)))
-    correction = float(np.sum(lrvs.delta / lrvs.omega2)) / math.sqrt(n)
-    delta_hat = quad / (math.sqrt(n) * tp) - correction
-    j_hat = jquad / (n * tp * tp)
-    return UmpIntermediates(delta_hat=delta_hat, j_hat=j_hat, correction=correction)
+    w_used, s_used = psi.scores(used)
+    w_lagged = lagged_cumsum(w_used)
+    quad = psi.pooled(lagged, used, w_lagged, s_used)
+    jquad = psi.pooled(lagged, lagged, w_lagged, lagged_cumsum(s_used))
+    correction = np.sum(lrvs.delta / lrvs.omega2, axis=-1) / math.sqrt(n)
+    return UmpIntermediates(delta_hat=quad / (math.sqrt(n) * tp) - correction,
+                            j_hat=jquad / (n * tp * tp), correction=correction)
+
+
+def _t_ump(inter: UmpIntermediates):
+    return math.sqrt(2.0) * inter.delta_hat
+
+
+def _t_ump_emp(inter: UmpIntermediates):
+    if np.any(inter.j_hat <= 0.0):
+        raise NumericalError("empirical information is zero; data too short or degenerate")
+    return inter.delta_hat / np.sqrt(inter.j_hat)
 
 
 def t_ump(inter: UmpIntermediates, alpha: float = 0.05) -> TestOutcome:
     """The optimal test: sqrt(2) times the central sequence, compared to N(0, 1)."""
-    return _outcome("t_ump", math.sqrt(2.0) * inter.delta_hat, alpha)
+    return _outcomes(("t_ump",), [_t_ump(inter)], alpha)[0]
 
 
 def t_ump_emp(inter: UmpIntermediates, alpha: float = 0.05) -> TestOutcome:
     """The studentized variant: central sequence over the root of the empirical information."""
-    if inter.j_hat <= 0.0:
-        raise NumericalError("empirical information is zero; data too short or degenerate")
-    return _outcome("t_ump_emp", inter.delta_hat / math.sqrt(inter.j_hat), alpha)
+    return _outcomes(("t_ump_emp",), [_t_ump_emp(inter)], alpha)[0]
+
+
+def _pooled_ar(cross, denom, lrvs: LrvSet, n: int, t_dim: int, degenerate: str) -> np.ndarray:
+    """The a and b statistics (..., 2) of a pooled autoregression with pooled sums
+    cross and denom, bias-corrected with the pooled one-sided LRV."""
+    if np.any(denom <= 0.0):
+        raise NumericalError(degenerate)
+    omega2 = lrvs.pooled_omega2
+    phi4 = lrvs.pooled_phi4
+    if np.any(phi4 <= 0.0):
+        raise NumericalError("nonpositive pooled fourth moment")
+    rho = (cross - n * t_dim * lrvs.pooled_delta) / denom
+    scale = math.sqrt(n) * t_dim * (rho - 1.0)
+    return np.stack([scale / np.sqrt(2.0 * phi4 / omega2 ** 2),
+                     scale * np.sqrt(denom / (n * t_dim * t_dim) * omega2 / phi4)], axis=-1)
+
+
+def _bn(e_lag: np.ndarray, e_cur: np.ndarray, lrvs: LrvSet, t_dim: int) -> np.ndarray:
+    return _pooled_ar(np.sum(_dot(e_lag, e_cur), axis=-1), np.sum(_dot(e_lag, e_lag), axis=-1),
+                      lrvs, e_lag.shape[-2], t_dim,
+                      "degenerate idiosyncratic paths: zero lagged sum of squares")
 
 
 def bn_statistics(e_lag: np.ndarray, e_cur: np.ndarray, lrvs: LrvSet,
-                  t_dim: int, alpha: float = 0.05) -> tuple[TestOutcome, TestOutcome]:
+                  t_dim: int, alpha: float = 0.05):
     """Pooled bias-corrected autoregression tests on given idiosyncratic paths.
 
     t_dim is the time dimension entering the bias correction and the
-    sqrt(n) T prefactor.
+    sqrt(n) T prefactor. For paths stacked along leading axes (R x n x T),
+    with lrvs stacked alike, returns a list of (p_a, p_b) per panel.
     """
-    n = e_lag.shape[0]
-    cross = float(np.sum(e_lag * e_cur))
-    denom = float(np.sum(e_lag * e_lag))
-    if denom <= 0.0:
-        raise NumericalError("degenerate idiosyncratic paths: zero lagged sum of squares")
-    pooled_delta = lrvs.pooled_delta
-    omega2 = lrvs.pooled_omega2
-    phi4 = lrvs.pooled_phi4
-    if phi4 <= 0.0:
-        raise NumericalError("nonpositive pooled fourth moment")
-    rho_plus = (cross - n * t_dim * pooled_delta) / denom
-    scale = math.sqrt(n) * t_dim * (rho_plus - 1.0)
-    p_a = scale / math.sqrt(2.0 * phi4 / omega2 ** 2)
-    p_b = scale * math.sqrt(denom / (n * t_dim * t_dim) * omega2 / phi4)
-    return _outcome("p_a", p_a, alpha), _outcome("p_b", p_b, alpha)
+    return _outcomes(("p_a", "p_b"), _bn(e_lag, e_cur, lrvs, t_dim), alpha)
+
+
+def _bn_from_residuals(resid: np.ndarray, lrvs: LrvSet) -> np.ndarray:
+    used = _used_columns(resid)
+    lagged = lagged_cumsum(used)
+    return _bn(lagged, lagged + used, lrvs, resid.shape[-1])
 
 
 def bn_tests(fit: FactorFit, lrvs: LrvSet, alpha: float = 0.05) -> tuple[TestOutcome, TestOutcome]:
@@ -209,40 +276,32 @@ def bn_tests(fit: FactorFit, lrvs: LrvSet, alpha: float = 0.05) -> tuple[TestOut
     index set of the optimal statistics, and the time dimension in the
     formulas is the number of difference columns T'.
     """
-    resid = fit.residuals.values
-    tp = resid.shape[1]
-    used = _used_columns(resid)
-    lagged = lagged_cumsum(used)
-    current = lagged + used
-    return bn_statistics(lagged, current, lrvs, t_dim=tp, alpha=alpha)
+    return _outcomes(("p_a", "p_b"), _bn_from_residuals(fit.residuals.values, lrvs), alpha)
 
 
-def mp_tests(p: Panel, loadings: np.ndarray | None, lrvs: LrvSet,
-             alpha: float = 0.05) -> tuple[TestOutcome, TestOutcome]:
+def _mp(y: np.ndarray, loadings: np.ndarray | None, lrvs: LrvSet) -> np.ndarray:
+    # With y_lag the levels shifted one period (zero pre-sample value), the pooled
+    # sums over y o Q y_lag and y_lag o Q y_lag read the scores of y at shifted times.
+    n, t_obs = y.shape[-2:]
+    q = PrecisionMatrix(np.ones(y.shape[:-1]), loadings)
+    w_y, s_y = q.scores(y)
+    head, tail = y[..., :-1], y[..., 1:]
+    cross = q.pooled(tail, head, w_y[..., 1:], s_y[..., :-1])
+    denom = q.pooled(head, head, w_y[..., :-1], s_y[..., :-1])
+    return _pooled_ar(cross, denom, lrvs, n, t_obs - 1,
+                      "degenerate level panel: zero projected lagged sum of squares")
+
+
+def mp_tests(p: Panel | np.ndarray, loadings: np.ndarray | None, lrvs: LrvSet,
+             alpha: float = 0.05):
     """MP tests: pooled autoregression on levels projected off the factor space.
 
     The level panel is used as given (zero pre-sample values); the time
-    dimension in the bias correction and prefactor is T' = T - 1.
+    dimension in the bias correction and prefactor is T' = T - 1. For levels
+    stacked along leading axes (R x n x T), with loadings and lrvs stacked
+    alike, returns a list of (t_a, t_b) per panel.
     """
-    y = p.values
-    n, t_obs = y.shape
-    t_dim = t_obs - 1
-    y_lag = np.zeros_like(y)
-    y_lag[:, 1:] = y[:, :-1]
-    qy_lag = PrecisionMatrix(np.ones(n), loadings).apply(y_lag)
-    cross = float(np.sum(y * qy_lag))
-    denom = float(np.sum(y_lag * qy_lag))
-    if denom <= 0.0:
-        raise NumericalError("degenerate level panel: zero projected lagged sum of squares")
-    omega2 = lrvs.pooled_omega2
-    phi4 = lrvs.pooled_phi4
-    if phi4 <= 0.0:
-        raise NumericalError("nonpositive pooled fourth moment")
-    rho_pool = (cross - n * t_dim * lrvs.pooled_delta) / denom
-    scale = math.sqrt(n) * t_dim * (rho_pool - 1.0)
-    t_a = scale / math.sqrt(2.0 * phi4 / omega2 ** 2)
-    t_b = scale * math.sqrt(denom / (n * t_dim * t_dim) * omega2 / phi4)
-    return _outcome("t_a", t_a, alpha), _outcome("t_b", t_b, alpha)
+    return _outcomes(("t_a", "t_b"), _mp(getattr(p, "values", p), loadings, lrvs), alpha)
 
 
 @dataclass(frozen=True)
@@ -283,47 +342,88 @@ ANALYSIS_ERRORS = (DataError, NumericalError, np.linalg.LinAlgError)
 
 def analyze_many(panels, k: int | None = None, k_max: int = 6,
                  lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> list:
-    """`analyze` over panels of one length T, with one LRV pass over all of them.
+    """`analyze` over a batch of panels, stacked by shape and factor count.
 
     Entry i is panel i's Analysis, or the DataError, NumericalError or
     LinAlgError that `analyze(panels[i], ...)` raises; any other exception
-    propagates. Factor selection, the fit and the statistics run panel by
-    panel. The residuals of all fitted panels are stacked for one
-    `estimate_lrv_set` call; its results are row-local (see `lrv`), so each
-    panel's Analysis is bit-identical to its own `analyze`. When the stacked
-    call raises, each panel's LRVs are estimated alone, so only the faulty
-    panel fails and its error names its own units.
+    propagates. Panels of one shape are differenced and fitted as one stack
+    (`factors.fit_stack`); the fitted panels of one length share one
+    `estimate_lrv_set` call over all their residual rows, and the panels of
+    one shape and factor count share one pass over the six statistics. Every
+    step is per panel (see `lrv`), so each panel's Analysis is bit-identical
+    to its own `analyze`. When a stacked LRV call or statistics pass raises,
+    its panels are run one at a time, so only a faulty panel fails, with the
+    error its own `analyze` raises.
     """
     check_alpha(alpha)
     results: list = [None] * len(panels)
-    fitted = []
+    shapes: dict = {}
     for i, panel in enumerate(panels):
-        try:
-            fitted.append((i, *_fit(panel, k, k_max)))
-        except ANALYSIS_ERRORS as exc:
-            results[i] = exc
-    lrv_sets = _lrv_sets([fit.residuals for _, _, fit in fitted], lrv_cfg)
-    for (i, d, fit), lrvs in zip(fitted, lrv_sets):
-        if isinstance(lrvs, Exception):
-            results[i] = lrvs
-            continue
-        try:
-            results[i] = _tests(panels[i], d, fit, lrvs, alpha)
-        except ANALYSIS_ERRORS as exc:
-            results[i] = exc
+        shapes.setdefault(panel.values.shape, []).append(i)
+    stacks = [s for index in shapes.values() for s in _fit(panels, index, k, k_max, results)]
+    for s in _with_lrvs(stacks, lrv_cfg, results):
+        for i, result in zip(s.index, _tests(panels, s, alpha)):
+            results[i] = result
     return results
 
 
-def _fit(panel: Panel, k: int | None, k_max: int) -> tuple[DiffPanel, FactorFit]:
-    d = difference(panel)
-    constant = np.flatnonzero(~d.values.any(axis=1))
-    if constant.size:
-        units = ", ".join(repr(panel.unit_ids[i]) for i in constant)
-        raise DataError(f"constant unit(s) {units}: all first differences are zero, "
-                        "so the long-run variance is zero")
-    if k is None:
-        k = select_num_factors(d, k_bound(*d.values.shape, k_max))
-    return d, estimate_factors(d, k)
+@dataclass(frozen=True)
+class _Stack:
+    """Panels of one shape and factor count k, stacked along a leading axis.
+
+    index holds each panel's position in `analyze_many`'s batch; fit holds
+    the stacked loadings_bar, loadings_hat, factor_diffs and residuals, and
+    lrvs, once estimated, the LrvSet stacked alike.
+    """
+
+    index: tuple
+    levels: np.ndarray
+    diffs: np.ndarray
+    k: int
+    fit: tuple
+    lrvs: LrvSet | None = None
+
+    def take(self, rows) -> _Stack:
+        return _Stack(tuple(self.index[r] for r in rows), self.levels[rows], self.diffs[rows],
+                      self.k, tuple(a[rows] for a in self.fit),
+                      None if self.lrvs is None else _take(self.lrvs, rows))
+
+
+def _take(lrvs: LrvSet, rows) -> LrvSet:
+    return LrvSet(omega2=lrvs.omega2[rows], delta=lrvs.delta[rows], gamma0=lrvs.gamma0[rows])
+
+
+def _fit(panels, index: list, k: int | None, k_max: int, results: list) -> list[_Stack]:
+    """The stacks of the panels at index, all of one shape, fitted by factor count.
+
+    A panel that fails gets its error in results. The stacked residuals are
+    frozen: each panel's FactorFit holds a view of them.
+    """
+    levels = (np.stack([panels[i].values for i in index]) if len(index) > 1
+              else panels[index[0]].values[None])
+    diffs = np.diff(levels, axis=-1)
+    finite = np.isfinite(diffs).all(axis=(-2, -1))
+    constant = ~diffs.any(axis=-1)
+    for r, i in enumerate(index):
+        if not finite[r]:
+            results[i] = DataError("difference values contains non-finite entries")
+        elif constant[r].any():
+            units = ", ".join(repr(panels[i].unit_ids[u]) for u in np.flatnonzero(constant[r]))
+            results[i] = DataError(f"constant unit(s) {units}: all first differences are "
+                                   "zero, so the long-run variance is zero")
+    kept = np.flatnonzero(finite & ~constant.any(axis=-1))
+    if kept.size < len(index):
+        levels, diffs, index = levels[kept], diffs[kept], [index[r] for r in kept]
+    fits, errors = fit_stack(diffs, k, k_bound(*diffs.shape[1:], k_max))
+    for r, exc in errors.items():
+        results[index[r]] = exc
+    stacks = []
+    for kr, (rows, *fit) in fits.items():
+        fit[3].flags.writeable = False
+        whole = len(rows) == len(index)
+        stacks.append(_Stack(tuple(index[r] for r in rows), levels if whole else levels[rows],
+                             diffs if whole else diffs[rows], kr, tuple(fit)))
+    return stacks
 
 
 def k_bound(n: int, tp: int, k_max: int) -> int:
@@ -331,36 +431,64 @@ def k_bound(n: int, tp: int, k_max: int) -> int:
     return min(k_max, min(n, tp) // 2)
 
 
-def _lrv_sets(residuals: list[DiffPanel], cfg: LrvConfig) -> list:
-    """Each residual panel's LrvSet, or the error its own estimate raises.
-
-    Two or more panels share one stacked call; if that raises, each panel
-    is estimated alone.
-    """
-    if len(residuals) == 1:
+def _with_lrvs(stacks: list[_Stack], cfg: LrvConfig, results: list) -> list[_Stack]:
+    """The stacks with their LRVs: one estimate over the residual rows of all stacks of
+    one length. If it raises, each panel is estimated alone, so only a faulty panel
+    fails, with its error in results, and the others go on as one-panel stacks."""
+    out = []
+    for tp in dict.fromkeys(s.diffs.shape[-1] for s in stacks):
+        same = [s for s in stacks if s.diffs.shape[-1] == tp]
         try:
-            return [estimate_lrv_set(residuals[0], cfg)]
+            lrvs = estimate_lrv_set(same[0].fit[3] if len(same) == 1 else
+                                    np.concatenate([s.fit[3].reshape(-1, tp) for s in same]), cfg)
         except ANALYSIS_ERRORS as exc:
-            return [exc]
-    if not residuals:
-        return []
+            if len(same) == 1 and len(same[0].index) == 1:
+                results[same[0].index[0]] = exc
+            else:
+                for s in same:
+                    for r in range(len(s.index)):
+                        out += _with_lrvs([s.take([r])], cfg, results)
+            continue
+        top = 0
+        for s in same:
+            shape = s.fit[3].shape[:2]
+            block = slice(top, top + shape[0] * shape[1])
+            top = block.stop
+            out.append(replace(s, lrvs=LrvSet(*(a.reshape(-1)[block].reshape(shape) for a in
+                                                (lrvs.omega2, lrvs.delta, lrvs.gamma0)))))
+    return out
+
+
+def _tests(panels, s: _Stack, alpha: float) -> list:
+    """Each stacked panel's Analysis, or the error its own analysis raises: a stacked
+    pass that raises is rerun one panel at a time."""
+    lrvs = s.lrvs
+    zero = lrvs.gamma0 == 0.0
+    if zero.any():
+        bad = zero.any(axis=-1)
+        good = iter(_tests(panels, s.take(np.flatnonzero(~bad)), alpha) if not bad.all() else ())
+        return [next(good) if not bad[r] else NumericalError(
+            "LRV: unit(s) " + ", ".join(repr(panels[i].unit_ids[u]) for u in np.flatnonzero(zero[r]))
+            + " have all-zero factor residuals, so gamma(0) and the long-run variance are zero")
+            for r, i in enumerate(s.index)]
+    loadings_bar, loadings_hat, factor_diffs, resid = s.fit
     try:
-        lrvs = estimate_lrv_set(DiffPanel(np.concatenate([r.values for r in residuals])), cfg)
-    except ANALYSIS_ERRORS:
-        return [_lrv_sets([r], cfg)[0] for r in residuals]
-    bounds = np.cumsum([0] + [r.n_units for r in residuals]).tolist()
-    return [LrvSet(omega2=lrvs.omega2[a:b], delta=lrvs.delta[a:b], gamma0=lrvs.gamma0[a:b])
-            for a, b in zip(bounds, bounds[1:])]
-
-
-def _tests(panel: Panel, d: DiffPanel, fit: FactorFit, lrvs: LrvSet, alpha: float) -> Analysis:
-    zero = np.flatnonzero(lrvs.gamma0 == 0.0)
-    if zero.size:
-        units = ", ".join(repr(panel.unit_ids[i]) for i in zero)
-        raise NumericalError(f"LRV: unit(s) {units} have all-zero factor residuals, so "
-                             "gamma(0) and the long-run variance are zero")
-    ump = ump_statistics(d, precision_matrix(lrvs, fit.loadings_hat), lrvs)
-    ordered = (t_ump(ump, alpha), t_ump_emp(ump, alpha), *bn_tests(fit, lrvs, alpha),
-               *mp_tests(panel, fit.loadings_hat, lrvs, alpha))
-    return Analysis(k=fit.k, fit=fit, lrvs=lrvs, ump=ump,
-                    outcomes={o.name: o for o in ordered})
+        ump = ump_statistics(s.diffs, precision_matrix(lrvs, loadings_hat), lrvs)
+        stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
+                                _bn_from_residuals(resid, lrvs),
+                                _mp(s.levels, loadings_hat, lrvs)], axis=-1)
+    except ANALYSIS_ERRORS as exc:
+        if len(s.index) == 1:
+            return [exc]
+        return [_tests(panels, s.take([r]), alpha)[0] for r in range(len(s.index))]
+    outcomes = _outcomes(TEST_NAMES, stats, alpha)
+    return [Analysis(k=s.k,
+                     fit=FactorFit(loadings_bar=loadings_bar[r], loadings_hat=loadings_hat[r],
+                                   factor_diffs=factor_diffs[r],
+                                   residuals=_diff_view(resid[r]), k=s.k),
+                     lrvs=_take(lrvs, r),
+                     ump=UmpIntermediates(delta_hat=float(ump.delta_hat[r]),
+                                          j_hat=float(ump.j_hat[r]),
+                                          correction=float(ump.correction[r])),
+                     outcomes=dict(zip(TEST_NAMES, outcomes[r])))
+            for r in range(len(s.index))]

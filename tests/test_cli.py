@@ -219,6 +219,32 @@ class TestPanelCsv:
         with pytest.raises(DataError, match="no observations"):
             load_panel_csv(str(path))
 
+    def test_oversized_field_reports_line(self, tmp_path, capsys):
+        # A quoted field above csv.field_size_limit() (131072 characters by default).
+        path = tmp_path / "long.csv"
+        path.write_text('unit,time,value\nA,1,1.0\n"' + "x" * 200_000 + '",1,2.0\n')
+        with pytest.raises(DataError, match=r":3: field larger than field limit"):
+            load_panel_csv(str(path))
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: field larger")
+
+    def test_oversized_header_field_reports_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text('"' + "u" * 200_000 + '",time,value\nA,1,1.0\n')
+        with pytest.raises(DataError, match=r":1: field larger than field limit"):
+            load_panel_csv(str(path))
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["block_path", "csv_path"])
+    def test_equal_ranked_time_labels_rejected(self, tmp_path, quote):
+        path = tmp_path / "times.csv"
+        path.write_text("unit,time,value\n" + "".join(
+            f"{quote}{u}{quote},{t},1.5\n" for u in "AB" for t in ("1", "02", "2")))
+        if quote:  # the block path declines a quoted file; the csv path reads it
+            assert cli._load_plain(str(path)) is None
+        for load in (load_panel_csv, cli._load_any) + (() if quote else (cli._load_plain,)):
+            with pytest.raises(DataError, match="time labels '02' and '2' name the same period"):
+                load(str(path))
+
     @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_shuffled_rows_roundtrip(self, n, t, seed):

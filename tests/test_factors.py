@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from panelur import DiffPanel, DimensionError, NumericalError, estimate_factors, select_num_factors
-from panelur.factors import _principal_components
+from panelur.factors import _eigen, _second_moments
 
 from oracles import factor_fit_dense
 
@@ -227,17 +227,17 @@ class TestPartialSolver:
         x = d.values.T
         k_max = data.draw(st.integers(1, min(n, tp)))
         gram = (x.T @ x if n <= tp else x @ x.T) / (n * tp)
+        assert np.array_equal(_second_moments(d.values), gram)
         full = np.sort(np.linalg.eigvalsh(gram))[::-1]
         tol = 1e-12 * full[0]
-        assert np.abs(_principal_components(x, k_max, vectors=False)[0]
-                      - full[:k_max]).max() <= tol
+        assert np.abs(_eigen(gram, n, tp)[0][:k_max] - full[:k_max]).max() <= tol
 
         for k in range(1, k_max + 1):
             if full[k - 1] <= max(n, tp) * np.finfo(float).eps * full[0]:
                 with pytest.raises(NumericalError, match=f"k={k} exceeds the rank"):
                     estimate_factors(d, k)
                 continue
-            assert np.abs(_principal_components(x, k)[0] - full[:k]).max() <= tol
+            assert np.abs(_eigen(gram, n, tp, k)[0] - full[:k]).max() <= tol
             fit, ref = estimate_factors(d, k), factor_fit_dense(d, k)
             # Any backward-stable solver, numpy's eigh included, moves the k-th vector
             # by about eps * cond; the dual map X'u / |X'u| adds sqrt(lambda_1 / lambda_k).

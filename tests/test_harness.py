@@ -361,17 +361,22 @@ class TestRunSingle:
                 name: result.outcomes[name].reject for name in exp.tests}
 
     def test_one_ump_statistics_call(self, monkeypatch):
-        calls = []
+        # The stacked kernel computes one central sequence per replication: one
+        # call per batch, over a stack with one panel per replication.
+        stacks = []
         original = statistics.ump_statistics
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counted(d, *args):
+            stacks.append(d.shape[0])
+            return original(d, *args)
 
         monkeypatch.setattr(statistics, "ump_statistics", counted)
         exp = _experiment()
         run_single(exp, exp.cells()[0], 0)
-        assert len(calls) == 1
+        assert stacks == [1]
+        stacks.clear()
+        harness._replications(exp, exp.cells()[0], range(7))
+        assert stacks == [7]
 
 
 class TestPowerFigureData:

@@ -1,5 +1,6 @@
 """Test statistics: hand-checked values, brute-force oracles, invariance suites."""
 
+import functools
 import math
 import tracemalloc
 
@@ -116,6 +117,27 @@ class TestPrecisionOperator:
         _close(psi.apply(x), dense @ x, scale)
         _close(psi.matrix, dense, np.abs(dense).max())
         assert psi.k == lam.shape[1]
+
+    @given(_factor_designs(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_stack_matches_each_panel_and_dense_sums(self, design, with_prior):
+        # Three panels stacked: the design, rotated loadings with negated data, and
+        # reversed weights with data reversed in time.
+        inv, lam, prior, rotation, x = design
+        invs, lams = np.stack([inv, inv, inv[::-1]]), np.stack([lam, lam @ rotation, lam])
+        xs = np.stack([x, -x, x[:, ::-1]])
+        priors = np.stack([prior] * 3) if with_prior else None
+        stacked = PrecisionMatrix(invs, lams, priors)
+        lagged = lagged_cumsum(xs)
+        pooled = stacked.pooled(lagged, xs, stacked.scores(lagged)[0], stacked.scores(xs)[1])
+        for r in range(3):
+            alone = PrecisionMatrix(invs[r], lams[r], None if priors is None else priors[r])
+            assert np.array_equal(stacked.apply(xs)[r], alone.apply(xs[r]))
+            assert pooled[r] == alone.pooled(lagged[r], xs[r], alone.scores(lagged[r])[0],
+                                             alone.scores(xs[r])[1])
+            dense = dense_precision(invs[r], lams[r], None if priors is None else priors[r])
+            scale = np.sum(np.abs(lagged[r]) * (np.abs(dense) @ np.abs(xs[r])))
+            _close(pooled[r], np.sum(lagged[r] * (dense @ xs[r])), scale)
 
     @given(_factor_designs())
     @settings(max_examples=80, deadline=None)
@@ -381,7 +403,7 @@ class TestAnalyze:
         def never(*args, **kwargs):
             raise AssertionError("analyze fitted factors for an invalid alpha")
 
-        monkeypatch.setattr(statistics, "estimate_factors", never)
+        monkeypatch.setattr(statistics, "fit_stack", never)
         sim, _, _, _ = _random_pipeline(16)
         with pytest.raises(DataError, match=r"alpha must lie in \(0, 1\)"):
             analyze(sim.panel, k=2, alpha=alpha)
@@ -471,6 +493,87 @@ class TestAnalyzeMany:
             _assert_same_analysis(got, analyze(panel, k=1))
 
 
+    def test_zero_information_fails_alone(self):
+        # Every unit moves only in its first and last period: the running sums of
+        # the used differences vanish, and with them the empirical information.
+        panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
+        levels = np.zeros((10, 60))
+        levels[:, 1:] = np.arange(1.0, 11.0)[:, None]
+        levels[:, -1] += 1.0
+        panels[1] = Panel(levels)
+        cfg = LrvConfig(prewhiten=False)
+        results = analyze_many(panels, k=0, lrv_cfg=cfg)
+        assert isinstance(results[1], NumericalError)
+        assert "empirical information is zero" in str(results[1])
+        for i in (0, 2):
+            _assert_same_analysis(results[i], analyze(panels[i], k=0, lrv_cfg=cfg))
+
+    def test_zero_gamma0_fails_alone(self, monkeypatch):
+        panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
+        alone = [analyze(p, k=1) for p in panels]
+        original = statistics.estimate_lrv_set
+
+        def zero_unit(residuals, cfg):
+            # gamma(0) of unit 3 of the middle panel in the stacked call (R x n x T').
+            lrvs = original(residuals, cfg)
+            lrvs.gamma0[1, 3] = 0.0
+            return lrvs
+
+        monkeypatch.setattr(statistics, "estimate_lrv_set", zero_unit)
+        results = analyze_many(panels, k=1)
+        assert isinstance(results[1], NumericalError)
+        assert str(results[1]).startswith("LRV: unit(s) 3 have all-zero factor residuals")
+        for i in (0, 2):
+            _assert_same_analysis(results[i], alone[i])
+
+    def test_singular_loading_gram_fails_alone(self, monkeypatch):
+        panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
+        alone = [analyze(p, k=1) for p in panels]
+        target = alone[1].lrvs.omega2
+        original = statistics.precision_matrix
+
+        def zero_target(lrvs, loadings):
+            # The middle panel's loadings become zero: its 1 x 1 Gram is singular.
+            hit = (lrvs.omega2 == target).all(axis=-1)
+            return original(lrvs, np.where(hit[..., None, None], 0.0, loadings))
+
+        monkeypatch.setattr(statistics, "precision_matrix", zero_target)
+        results = analyze_many(panels, k=1)
+        assert isinstance(results[1], NumericalError)
+        assert "singular 1 x 1 loading Gram matrix over 10 units" in str(results[1])
+        for i in (0, 2):
+            _assert_same_analysis(results[i], alone[i])
+
+
+@functools.cache
+def _mixed_batch():
+    """Panels of two lengths and two widths, each analyzed alone with k selected over
+    0..3: every shape has panels with different selected k."""
+    designs = [(20, 80, 0), (20, 80, 2), (20, 80, 1), (30, 80, 1), (30, 80, 2),
+               (20, 120, 0), (20, 120, 2), (30, 120, 2), (30, 120, 0), (20, 120, 1)]
+    panels = [simulate(DgpConfig(framework="PANIC", n=n, T=t, K=factors, lrv_ratio=0.7,
+                                 seed=400 + i)).panel
+              for i, (n, t, factors) in enumerate(designs)]
+    return panels, [analyze(p, k_max=3) for p in panels]
+
+
+class TestStackedProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.integers(0, 9), min_size=1, max_size=14))
+    def test_any_order_or_subset_matches_alone(self, picks):
+        # Panels are stacked by shape and selected k and their LRVs by length, so a
+        # draw changes each stack's size and order; repeats put a panel in a stack twice.
+        panels, alone = _mixed_batch()
+        stacks = {(a.k, p.values.shape) for a, p in zip(alone, panels)}
+        assert len(stacks) == 9 and len({k for k, _ in stacks}) == 3
+        results = analyze_many([panels[i] for i in picks], k_max=3)
+        for i, got in zip(picks, results):
+            _assert_same_analysis(got, alone[i])
+            assert all(np.array_equal(getattr(got.fit, f), getattr(alone[i].fit, f))
+                       for f in ("loadings_bar", "loadings_hat", "factor_diffs"))
+            assert np.array_equal(got.fit.residuals.values, alone[i].fit.residuals.values)
+
+
 class TestKmaxClamp:
     def test_runaway_bound_clamped(self):
         # At k_max near min(n, T') IC_p2 picks k_max (49 of 49 here).
@@ -488,13 +591,13 @@ class TestKmaxClamp:
 
     def test_clamp_is_half_the_smaller_dimension(self, monkeypatch):
         bounds = []
-        original = statistics.select_num_factors
+        original = statistics.fit_stack
 
-        def recording(d, k_max):
+        def recording(x, k, k_max):
             bounds.append(k_max)
-            return original(d, k_max)
+            return original(x, k, k_max)
 
-        monkeypatch.setattr(statistics, "select_num_factors", recording)
+        monkeypatch.setattr(statistics, "fit_stack", recording)
         values = np.random.default_rng(5).standard_normal((9, 31)).cumsum(axis=1)
         for k_max in (1, 4, 5, 100):
             analyze(Panel(values), k_max=k_max, lrv_cfg=LrvConfig(prewhiten=False))
