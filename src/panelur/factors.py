@@ -81,10 +81,7 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     `estimate_factors` guards: beyond it V(k) is rounding noise, whose log would win.
     """
     x = d.values[None]
-    n, tp = x.shape[1:]
-    if k_max < 0 or k_max > min(n, tp):
-        raise DimensionError(f"k_max={k_max} outside 0..min(n={n}, T'={tp})")
-    return _select(_second_moments(x)[0], _mean_squares(x)[0], n, tp, k_max)
+    return _select(_second_moments(x)[0], _mean_squares(x)[0], *x.shape[1:], k_max)
 
 
 def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> tuple[dict, dict]:
@@ -94,10 +91,11 @@ def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> tuple[dict, dict]
     0..k_max. Returns ({k: (rows, loadings_bar, loadings_hat, factor_diffs,
     residuals)}, {row: error}): the panels fitted with k factors, by their
     rows in x, with their results stacked in that order, and the DataError or
-    NumericalError of each panel whose selection or fit failed.
+    NumericalError of each panel whose selection or fit failed or whose
+    residuals are not finite (an overflowing fit).
     """
     n, tp = x.shape[1:]
-    grams = _second_moments(x) if k != 0 else [None] * len(x)
+    grams = _second_moments(x)
     totals = _mean_squares(x) if k is None else None
     chosen: dict = {}
     errors = {}
@@ -113,12 +111,18 @@ def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> tuple[dict, dict]
     fits = {}
     for kr, picked in chosen.items():
         rows = [r for r, _ in picked]
-        xk = x if len(rows) == len(x) else x[rows]
         if kr == 0:
             empty = np.zeros((len(rows), n, 0))
-            fits[kr] = (rows, empty, empty, np.zeros((len(rows), tp, 0)), xk)
+            fit = (empty, empty, np.zeros((len(rows), tp, 0)), x[rows])
         else:
-            fits[kr] = (rows, *_fit_arrays(xk, np.stack([v for _, v in picked])))
+            fit = _fit_arrays(x[rows], np.stack([v for _, v in picked]))
+        finite = np.isfinite(fit[3]).all(axis=(-2, -1))
+        if not finite.all():
+            for r in np.flatnonzero(~finite):
+                errors[rows[r]] = DataError("difference values contains non-finite entries")
+            rows, fit = [r for r, ok in zip(rows, finite) if ok], tuple(a[finite] for a in fit)
+        if rows:
+            fits[kr] = (rows, *fit)
     return fits, errors
 
 
@@ -137,6 +141,8 @@ def _mean_squares(x: np.ndarray) -> np.ndarray:
 
 def _select(gram: np.ndarray, total: float, n: int, tp: int, k_max: int) -> int:
     """IC_p2's factor count for one panel from its Gram matrix and V(0) = total."""
+    if k_max < 0 or k_max > min(n, tp):
+        raise DimensionError(f"k_max={k_max} outside 0..min(n={n}, T'={tp})")
     if total <= 0.0:
         raise DataError("differenced panel is identically zero")
     penalty = (n + tp) / (n * tp) * np.log(min(n, tp))

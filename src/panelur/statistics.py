@@ -216,7 +216,7 @@ def _t_ump(inter: UmpIntermediates):
 
 
 def _t_ump_emp(inter: UmpIntermediates):
-    if np.any(inter.j_hat <= 0.0):
+    if not np.all(inter.j_hat > 0.0):
         raise NumericalError("empirical information is zero; data too short or degenerate")
     return inter.delta_hat / np.sqrt(inter.j_hat)
 
@@ -399,8 +399,7 @@ def _fit(panels, index: list, k: int | None, k_max: int, results: list) -> list[
     A panel that fails gets its error in results. The stacked residuals are
     frozen: each panel's FactorFit holds a view of them.
     """
-    levels = (np.stack([panels[i].values for i in index]) if len(index) > 1
-              else panels[index[0]].values[None])
+    levels = np.stack([panels[i].values for i in index])
     diffs = np.diff(levels, axis=-1)
     finite = np.isfinite(diffs).all(axis=(-2, -1))
     constant = ~diffs.any(axis=-1)
@@ -412,17 +411,15 @@ def _fit(panels, index: list, k: int | None, k_max: int, results: list) -> list[
             results[i] = DataError(f"constant unit(s) {units}: all first differences are "
                                    "zero, so the long-run variance is zero")
     kept = np.flatnonzero(finite & ~constant.any(axis=-1))
-    if kept.size < len(index):
-        levels, diffs, index = levels[kept], diffs[kept], [index[r] for r in kept]
-    fits, errors = fit_stack(diffs, k, k_bound(*diffs.shape[1:], k_max))
+    fits, errors = fit_stack(diffs[kept], k, k_bound(*diffs.shape[1:], k_max))
     for r, exc in errors.items():
-        results[index[r]] = exc
+        results[index[kept[r]]] = exc
     stacks = []
     for kr, (rows, *fit) in fits.items():
         fit[3].flags.writeable = False
-        whole = len(rows) == len(index)
-        stacks.append(_Stack(tuple(index[r] for r in rows), levels if whole else levels[rows],
-                             diffs if whole else diffs[rows], kr, tuple(fit)))
+        rows = kept[rows]
+        stacks.append(_Stack(tuple(index[r] for r in rows), levels[rows], diffs[rows], kr,
+                             tuple(fit)))
     return stacks
 
 
@@ -439,8 +436,7 @@ def _with_lrvs(stacks: list[_Stack], cfg: LrvConfig, results: list) -> list[_Sta
     for tp in dict.fromkeys(s.diffs.shape[-1] for s in stacks):
         same = [s for s in stacks if s.diffs.shape[-1] == tp]
         try:
-            lrvs = estimate_lrv_set(same[0].fit[3] if len(same) == 1 else
-                                    np.concatenate([s.fit[3].reshape(-1, tp) for s in same]), cfg)
+            lrvs = estimate_lrv_set(np.concatenate([s.fit[3].reshape(-1, tp) for s in same]), cfg)
         except ANALYSIS_ERRORS as exc:
             if len(same) == 1 and len(same[0].index) == 1:
                 results[same[0].index[0]] = exc
@@ -463,16 +459,14 @@ def _tests(panels, s: _Stack, alpha: float) -> list:
     """Each stacked panel's Analysis, or the error its own analysis raises: a stacked
     pass that raises is rerun one panel at a time."""
     lrvs = s.lrvs
-    zero = lrvs.gamma0 == 0.0
-    if zero.any():
-        bad = zero.any(axis=-1)
-        good = iter(_tests(panels, s.take(np.flatnonzero(~bad)), alpha) if not bad.all() else ())
-        return [next(good) if not bad[r] else NumericalError(
-            "LRV: unit(s) " + ", ".join(repr(panels[i].unit_ids[u]) for u in np.flatnonzero(zero[r]))
-            + " have all-zero factor residuals, so gamma(0) and the long-run variance are zero")
-            for r, i in enumerate(s.index)]
     loadings_bar, loadings_hat, factor_diffs, resid = s.fit
     try:
+        zero = lrvs.gamma0 == 0.0
+        if zero.any():
+            r = np.flatnonzero(zero.any(axis=-1))[0]
+            units = ", ".join(repr(panels[s.index[r]].unit_ids[u]) for u in np.flatnonzero(zero[r]))
+            raise NumericalError(f"LRV: unit(s) {units} have all-zero factor residuals, "
+                                 "so gamma(0) and the long-run variance are zero")
         ump = ump_statistics(s.diffs, precision_matrix(lrvs, loadings_hat), lrvs)
         stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
                                 _bn_from_residuals(resid, lrvs),

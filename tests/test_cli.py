@@ -619,6 +619,16 @@ class TestExitCodes:
                                                  lrv_ratio=0.8, seed=0)).panel)
         assert main(["test", str(path), "--kmax", "1000"]) == 0
 
+    @pytest.mark.parametrize("kmax", ["-1", "-1000"])
+    def test_negative_kmax_rejected(self, tmp_path, capsys, kmax):
+        path = tmp_path / "small.csv"
+        write_panel_csv(path, simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1,
+                                                 lrv_ratio=0.8, seed=0)).panel)
+        assert main(["test", str(path), "--kmax", kmax]) == 2
+        captured = capsys.readouterr()
+        assert f"k_max={kmax} outside 0..min(n=12, T'=39)" in captured.err
+        assert captured.out == ""
+
     def test_bad_config_field(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"framework": "PANIC", "n": 10, "T": 30, "h": 2.0}))

@@ -14,7 +14,7 @@ from panelur import (DataError, DgpConfig, DiffPanel, DimensionError, Innovation
                      LrvSet, NumericalError, Panel, PrecisionMatrix, analyze, bn_statistics,
                      bn_tests, difference, estimate_factors, estimate_lrv_set, lagged_cumsum,
                      mp_tests, precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
-from panelur import statistics
+from panelur import factors, statistics
 from panelur.statistics import TEST_NAMES, analyze_many
 
 
@@ -514,9 +514,9 @@ class TestAnalyzeMany:
         original = statistics.estimate_lrv_set
 
         def zero_unit(residuals, cfg):
-            # gamma(0) of unit 3 of the middle panel in the stacked call (R x n x T').
+            # gamma(0) of unit 3 of the middle panel in the stacked call over R n rows.
             lrvs = original(residuals, cfg)
-            lrvs.gamma0[1, 3] = 0.0
+            lrvs.gamma0[10 + 3] = 0.0
             return lrvs
 
         monkeypatch.setattr(statistics, "estimate_lrv_set", zero_unit)
@@ -544,6 +544,26 @@ class TestAnalyzeMany:
         for i in (0, 2):
             _assert_same_analysis(results[i], alone[i])
 
+    def test_non_finite_residuals_fail_alone(self, monkeypatch):
+        # A finite panel whose fit overflows fails the eigensolver first in every
+        # case tried, so here the middle panel's eigenvectors are made nan.
+        panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
+        alone = [analyze(p, k=1) for p in panels]
+        original = factors._eigen
+        calls = []
+
+        def nan_middle(gram, n, tp, k=None):
+            vals, vecs = original(gram, n, tp, k)
+            calls.append(k)
+            return vals, (np.full_like(vecs, np.nan) if len(calls) == 2 else vecs)
+
+        monkeypatch.setattr(factors, "_eigen", nan_middle)
+        results = analyze_many(panels, k=1)
+        assert isinstance(results[1], DataError)
+        assert str(results[1]) == "difference values contains non-finite entries"
+        for i in (0, 2):
+            _assert_same_analysis(results[i], alone[i])
+
 
 @functools.cache
 def _mixed_batch():
@@ -551,9 +571,9 @@ def _mixed_batch():
     0..3: every shape has panels with different selected k."""
     designs = [(20, 80, 0), (20, 80, 2), (20, 80, 1), (30, 80, 1), (30, 80, 2),
                (20, 120, 0), (20, 120, 2), (30, 120, 2), (30, 120, 0), (20, 120, 1)]
-    panels = [simulate(DgpConfig(framework="PANIC", n=n, T=t, K=factors, lrv_ratio=0.7,
+    panels = [simulate(DgpConfig(framework="PANIC", n=n, T=t, K=k_true, lrv_ratio=0.7,
                                  seed=400 + i)).panel
-              for i, (n, t, factors) in enumerate(designs)]
+              for i, (n, t, k_true) in enumerate(designs)]
     return panels, [analyze(p, k_max=3) for p in panels]
 
 
@@ -602,6 +622,15 @@ class TestKmaxClamp:
         for k_max in (1, 4, 5, 100):
             analyze(Panel(values), k_max=k_max, lrv_cfg=LrvConfig(prewhiten=False))
         assert bounds == [1, 4, 4, 4]
+
+    @pytest.mark.parametrize("k_max", [-1, -1000])
+    def test_negative_bound_rejected(self, k_max):
+        panels = _batch_panels(kinds=("iid",), sizes=(10, 10))
+        with pytest.raises(DimensionError, match=f"k_max={k_max} outside 0..min"):
+            analyze(panels[0], k_max=k_max)
+        for result in analyze_many(panels, k_max=k_max):
+            assert isinstance(result, DimensionError)
+            assert str(result) == f"k_max={k_max} outside 0..min(n=10, T'=59)"
 
 
 def _invariance_panel(data):
@@ -678,6 +707,14 @@ class TestScaleInvariance:
         for name in TEST_NAMES:
             assert tiny.outcomes[name].statistic == pytest.approx(
                 base.outcomes[name].statistic, rel=1e-9, abs=0.0)
+
+    def test_overflowing_panel_is_an_error(self):
+        # At 1e154 the squared differences overflow: the LRVs are infinite and the
+        # empirical information is nan, which is no information, not a nan statistic.
+        values = np.random.default_rng(3).standard_normal((20, 60)).cumsum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="empirical information is zero"):
+                analyze(Panel(1e154 * values), k=0)
 
     def test_zero_residual_unit_is_a_numerical_error(self):
         # One unit and one factor: the fit absorbs the unit, whose residuals
