@@ -27,7 +27,7 @@ from .asymptotics import emit_power_curve
 from .dgp import DgpConfig, simulate
 from .errors import DataError, NumericalError
 from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, _one_blas_thread,
-                      blas_threads, run, worker_count)
+                      blas_threads, plan_summary, run)
 from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
 from .panel import Panel
@@ -432,7 +432,7 @@ def _cmd_mc(args) -> int:
         "experiment": asdict(exp),
         "versions": {"panelur": __version__, "python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
-        "workers": worker_count(exp, args.workers),
+        **plan_summary(exp, args.workers),
         "blas_threads_per_process": blas_threads(),
         "wall_s": wall_s,
     }

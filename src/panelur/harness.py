@@ -7,20 +7,27 @@ from the hash: MP and PANIC cells that agree otherwise consume identical
 draws, which makes the two setups literally coincide under the null and
 keeps their power comparison free of simulation noise.
 
-Each task, a contiguous range of replications of one cell, runs in batches.
+`_plan` cuts each cell's replications into at most one task per worker, a
+contiguous range of at most 500, and each task runs as the fewest batches
+that stack at most _STACKED_CELLS panel cells each (replications times n T,
+at least one replication), so large cells fall back to small batches and
+bounded memory. Both cuts make sizes as equal as possible: at one worker a
+25-replication 50 x 100 cell is one task and two batches, 13 + 12. A batch
+has a fixed cost of a few milliseconds, so the fewest batches that fit the
+cap run fastest, and equal sizes keep the largest batch, and with it peak
+memory, small.
+
 A batch is simulated by one `dgp.simulate_many` call (one stacked set of
 recursions) and analyzed by one `statistics.analyze_many` call: the
 differencing, the factor fit and the six statistics run over the stacked
 R x n x T' panels (per factor count when k is selected), with one LRV pass
 over all their residuals; only the eigensolves of the fit and the factor
-selection run replication by replication. A batch stacks at most
-_STACKED_CELLS panel cells (replications times n T), and at least one
-replication, so large cells fall back to small batches and bounded memory.
-Every step is row-local, so a replication's result is bit-identical to
-running it alone: batching, and the worker count that sets the task ranges,
-change no result. Errors stay per replication: a DataError, NumericalError
-or LinAlgError in one replication counts as one error, and the others in
-its batch still count; any other exception is a bug and stops the run.
+selection run replication by replication. Every step is row-local, so a
+replication's result is bit-identical to running it alone: the batches,
+and the worker count that sets the tasks, change no result. Errors stay
+per replication: a DataError, NumericalError or LinAlgError in one
+replication counts as one error, and the others in its batch still count;
+any other exception is a bug and stops the run.
 
 While `run` executes, every loaded OpenBLAS library runs one thread per
 process: a pool of multithreaded BLAS workers oversubscribes the cores. The
@@ -58,7 +65,7 @@ from .lrv import LrvConfig
 from .statistics import ANALYSIS_ERRORS, TEST_NAMES, analyze_many, check_alpha
 
 __all__ = ["Experiment", "ResultRow", "run", "power_figure_data", "replication_seed",
-           "worker_count", "blas_threads", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
+           "plan_summary", "blas_threads", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
 
 WORKERS_ENV_VAR = "PANELUR_WORKERS"
 
@@ -217,19 +224,30 @@ def run_single(exp: Experiment, cell: tuple, rep: int) -> dict[str, bool]:
     return flags
 
 
-def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
-    """Rejection and error counts over a contiguous replication range.
+def _split(start: int, stop: int, cap: int) -> list[range]:
+    """start..stop cut into the fewest ranges of at most cap, sizes as equal as
+    possible, the larger first: 25 at a cap of 13 gives 13 + 12."""
+    total = stop - start
+    count = -(-total // cap)
+    bounds = [start + -(-i * total // count) for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    The range runs in batches of at most _STACKED_CELLS // (n T)
-    replications, at least one.
-    """
+
+def _batches(cell: tuple, start: int, stop: int) -> list[range]:
+    """The batches a task runs: the fewest that stack at most _STACKED_CELLS
+    panel cells each (at least one replication), sizes as equal as possible."""
     _, n, t, *_ = cell
-    size = max(1, _STACKED_CELLS // (n * t))
+    return _split(start, stop, max(1, _STACKED_CELLS // (n * t)))
+
+
+def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
+    """Rejection and error counts over a contiguous replication range, run as
+    `_batches` of it."""
     counts = {name: 0 for name in exp.tests}
     successes = 0
     errors = 0
-    for start in range(rep_start, rep_stop, size):
-        for flags in _replications(exp, cell, range(start, min(start + size, rep_stop))):
+    for batch in _batches(cell, rep_start, rep_stop):
+        for flags in _replications(exp, cell, batch):
             if isinstance(flags, Exception):
                 errors += 1
                 continue
@@ -253,20 +271,27 @@ def _requested_workers(workers: int | None) -> int:
 
 
 def _plan(exp: Experiment, workers: int | None) -> tuple[int, list[tuple]]:
-    """Worker processes, never more than tasks, and the (cell, start, stop) tasks."""
+    """Worker processes, never more than tasks, and the (cell, start, stop) tasks.
+
+    Each cell's R replications are cut into the fewest tasks of at most
+    min(500, ceil(R / workers)), sizes as equal as possible: at most one task
+    per requested worker, so at one worker a cell of up to 500 replications
+    is one task. The cap of 500 cuts a long cell finer, so that pool workers
+    that finish early take up the rest.
+    """
     requested = _requested_workers(workers)
-    chunk = max(1, min(500, exp.replications // max(1, requested * 4) + 1))
-    tasks = [
-        (cell, start, min(start + chunk, exp.replications))
-        for cell in exp.cells()
-        for start in range(0, exp.replications, chunk)
-    ]
+    chunk = min(500, -(-exp.replications // requested))
+    tasks = [(cell, task.start, task.stop)
+             for cell in exp.cells() for task in _split(0, exp.replications, chunk)]
     return min(requested, len(tasks)), tasks
 
 
-def worker_count(exp: Experiment, workers: int | None = None) -> int:
-    """Processes that `run(exp, workers)` runs replications in."""
-    return _plan(exp, workers)[0]
+def plan_summary(exp: Experiment, workers: int | None = None) -> dict:
+    """The processes `run(exp, workers)` runs replications in, its tasks and its
+    largest batch, from the plan the run follows."""
+    n_workers, tasks = _plan(exp, workers)
+    return {"workers": n_workers, "tasks": len(tasks),
+            "largest_batch": max(len(b) for task in tasks for b in _batches(*task))}
 
 
 @functools.cache

@@ -327,8 +327,9 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
     k_max: near m its penalty no longer offsets the fit, and it picks k_max.
     A unit whose differences are all zero is rejected up front: its
     long-run variance would be zero. So is a unit whose factor residuals
-    are all zero (NumericalError). An alpha outside (0, 1) is rejected
-    before any work.
+    are all zero (NumericalError), and a panel with a statistic that is not
+    finite, such as one so large in scale that its pooled sums overflow. An
+    alpha outside (0, 1) is rejected before any work.
     """
     result, = analyze_many([panel], k=k, k_max=k_max, lrv_cfg=lrv_cfg, alpha=alpha)
     if isinstance(result, Exception):
@@ -471,6 +472,11 @@ def _tests(panels, s: _Stack, alpha: float) -> list:
         stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
                                 _bn_from_residuals(resid, lrvs),
                                 _mp(s.levels, loadings_hat, lrvs)], axis=-1)
+        finite = np.isfinite(stats)
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise NumericalError(f"{TEST_NAMES[c]} statistic is {stats[r, c]}, not finite; "
+                                 "rescale the panel if its values are very large")
     except ANALYSIS_ERRORS as exc:
         if len(s.index) == 1:
             return [exc]

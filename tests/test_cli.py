@@ -521,6 +521,35 @@ class TestMcCommand:
         with open(f"{out}.manifest.json") as fh:
             assert json.load(fh)["workers"] == 1
 
+    def test_manifest_reports_the_plan_the_run_used(self, tmp_path, monkeypatch):
+        # A batch cap of 4 replications of 10 x 25 panels: each 10-replication
+        # cell is one task at one worker, run as batches of 4, 3 and 3.
+        monkeypatch.setattr(harness, "_STACKED_CELLS", 4 * 10 * 25)
+        tasks, batches = [], []
+        run_chunk, replications = harness._run_chunk, harness._replications
+
+        def recording_chunk(exp, cell, start, stop):
+            tasks.append((start, stop))
+            return run_chunk(exp, cell, start, stop)
+
+        def recording_batch(exp, cell, reps):
+            batches.append(len(reps))
+            return replications(exp, cell, reps)
+
+        monkeypatch.setattr(harness, "_run_chunk", recording_chunk)
+        monkeypatch.setattr(harness, "_replications", recording_batch)
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"sizes": [[10, 25]], "h_values": [0.0, -5.0],
+                                   "replications": 10, "lrv": {"prewhiten": False}}))
+        out = tmp_path / "mc.csv"
+        assert main(["mc", str(cfg), str(out), "--workers", "1"]) == 0
+        with open(f"{out}.manifest.json") as fh:
+            manifest = json.load(fh)
+        assert tasks == [(0, 10), (0, 10)] and batches == [4, 3, 3] * 2
+        assert manifest["workers"] == 1
+        assert manifest["tasks"] == len(tasks)
+        assert manifest["largest_batch"] == max(batches)
+
 
 class TestSelftestCommand:
     def test_exits_zero(self, tmp_path):

@@ -8,6 +8,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelur import (DataError, Experiment, LrvConfig, NumericalError, Panel, analyze, harness,
                      power_figure_data, replication_seed, run, simulate, statistics)
@@ -121,7 +123,8 @@ class TestRun:
             return sims
 
         monkeypatch.setattr(harness, "simulate_many", breaking)
-        assert harness._plan(exp, 1)[1][0] == (cell, 0, 2)   # replications 0 and 1 share a batch
+        assert any({0, 1} <= set(batch) for task in harness._plan(exp, 1)[1]
+                   for batch in harness._batches(*task))   # 0 and 1 share a batch
         with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[3\]"):
             run_single(exp, cell, 1)
         others = [run_single(exp, cell, rep) for rep in (0, 2, 3, 4)]
@@ -179,30 +182,15 @@ class TestRun:
 
     def test_never_more_workers_than_tasks(self, monkeypatch):
         sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
+        monkeypatch.setattr(InlinePool, "sizes", sizes)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        exp = _experiment(replications=2)   # one cell: 2 tasks at any worker count
+        exp = _experiment(replications=2)   # one cell: 2 tasks at two or more workers
         serial = _rates(run(exp, workers=1))
         assert _rates(run(exp, workers=16)) == serial
         monkeypatch.setenv(WORKERS_ENV_VAR, "64")
         assert _rates(run(exp)) == serial
         assert sizes == [2, 2]
-        assert harness.worker_count(exp, 16) == 2
+        assert harness.plan_summary(exp, 16)["workers"] == 2
         run(_experiment(replications=1), workers=16)   # a single task runs in-process
         assert sizes == [2, 2]
 
@@ -211,7 +199,7 @@ class TestRun:
         monkeypatch.setenv(WORKERS_ENV_VAR, value)
         with pytest.raises(DataError, match=f"{WORKERS_ENV_VAR} must be a positive integer, "
                                             f"got '{value}'"):
-            harness.worker_count(_experiment())
+            harness.plan_summary(_experiment())
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_argument_must_be_positive(self, monkeypatch, workers):
@@ -219,11 +207,11 @@ class TestRun:
         with pytest.raises(DataError, match=f"workers must be a positive integer, got {workers}"):
             run(_experiment(), workers=workers)
         with pytest.raises(DataError, match="workers must be a positive integer"):
-            harness.worker_count(_experiment(), workers)
+            harness.plan_summary(_experiment(), workers)
 
     def test_workers_env_positive_integer_taken(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert harness.worker_count(_experiment(replications=100)) == 3
+        assert harness.plan_summary(_experiment(replications=100))["workers"] == 3
 
     def test_grid_validation(self):
         with pytest.raises(DataError):
@@ -252,6 +240,96 @@ class TestRun:
     def test_invalid_cell_fails_at_construction(self, grid, message):
         with pytest.raises(DataError, match=message):
             _experiment(**grid)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each submitted task in-process."""
+
+    sizes = None   # the max_workers of each pool made, when a list
+
+    def __init__(self, max_workers, initializer):
+        if self.sizes is not None:
+            self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _record_batches(monkeypatch) -> list:
+    """Stubs `_replications` with a no-op that records each batch's cell and reps."""
+    batches = []
+
+    def recording(exp, cell, reps):
+        batches.append((cell, list(reps)))
+        return [{name: False for name in exp.tests} for _ in reps]
+
+    monkeypatch.setattr(harness, "_replications", recording)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return batches
+
+
+def _acceptance(replications=25):
+    return _experiment(sizes=((50, 100),), h_values=(0.0, -5.0), replications=replications)
+
+
+def _serial_long(replications=10):
+    return _experiment(frameworks=("MP",), sizes=((25, 400),), innovations=("ar1", "ma1"),
+                       replications=replications)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("exp, sizes", [(_acceptance(), [13, 12]),
+                                            (_serial_long(), [5, 5])])
+    def test_one_worker_runs_a_cell_as_fewest_equal_batches(self, monkeypatch, exp, sizes):
+        batches = _record_batches(monkeypatch)
+        run(exp, workers=1)
+        assert [len(reps) for _, reps in batches] == sizes * len(exp.cells())
+        assert len(harness._plan(exp, 1)[1]) == len(exp.cells())
+
+    @pytest.mark.parametrize("exp", [_acceptance(), _serial_long()])
+    def test_two_workers_give_two_tasks_per_cell(self, monkeypatch, exp):
+        batches = _record_batches(monkeypatch)
+        workers, tasks = harness._plan(exp, 2)
+        assert workers == 2
+        assert [cell for cell, *_ in tasks] == [cell for cell in exp.cells() for _ in range(2)]
+        run(exp, workers=2)
+        # Each task is small enough to be one batch.
+        assert [(cell, reps) for cell, reps in batches] == [
+            (cell, list(range(start, stop))) for cell, start, stop in tasks]
+
+    @settings(max_examples=60, deadline=None)
+    @given(replications=st.integers(1, 1300), workers=st.integers(1, 9),
+           cap=st.integers(1, 40))
+    def test_every_replication_runs_once(self, replications, workers, cap):
+        exp = _experiment(h_values=(0.0, -5.0), replications=replications)
+        with pytest.MonkeyPatch.context() as mp:
+            # A cap of `cap` replications of the 15 x 30 panels per batch.
+            mp.setattr(harness, "_STACKED_CELLS", cap * 15 * 30)
+            batches = _record_batches(mp)
+            n_workers, tasks = harness._plan(exp, workers)
+            planned = [(cell, list(b)) for cell, start, stop in tasks
+                       for b in harness._batches(cell, start, stop)]
+            run(exp, workers=workers)
+        assert batches == planned
+        assert n_workers == min(workers, len(tasks))
+        for cell in exp.cells():
+            sizes = [stop - start for c, start, stop in tasks if c == cell]
+            assert len(sizes) <= max(workers, -(-replications // 500))
+            assert max(sizes) - min(sizes) <= 1
+            assert [rep for c, reps in batches if c == cell for rep in reps] == list(
+                range(replications))
+        for _, start, stop in tasks:
+            sizes = [len(reps) for reps in harness._split(start, stop, cap)]
+            assert len(sizes) == -(-(stop - start) // cap)
+            assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
 
 
 class TestBlasThreads:
@@ -328,7 +406,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 class TestFreedHeapKept:
     @needs_glibc
     def test_repeat_run_faults_no_pages(self):
-        # 13-replication batches of 50x100 panels: stacked arrays of about
+        # Batches of 12 and 13 replications of 50x100 panels: stacked arrays of about
         # 500 KiB, above glibc's default mmap threshold. With the default
         # thresholds the second run faults in about 1600 pages. A fresh process
         # keeps the heap the rest of the suite leaves behind out of the count.

@@ -205,6 +205,40 @@ class TestEstimateLrvSet:
         assert est.pooled_omega2 ** 2 <= est.pooled_phi4 * (1.0 + 1e-12)
 
 
+def _ar1_rows(seed, rows, length):
+    """Rows of AR(1) series with a persistence of their own, so that rows in one
+    call pick different prewhitening models and truncation lags."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-0.9, 0.9, size=rows)
+    e = rng.standard_normal((rows, length))
+    x = np.empty_like(e)
+    x[:, 0] = e[:, 0]
+    for t in range(1, length):
+        x[:, t] = phi * x[:, t - 1] + e[:, t]
+    return rng.uniform(0.1, 10.0, size=(rows, 1)) * x
+
+
+class TestRowLocality:
+    # The harness stacks the residual rows of a whole batch of replications into
+    # one call, so a row's estimates may not depend on the rows beside it.
+    @pytest.mark.parametrize("cfg", [
+        LrvConfig(kernel=kernel, bandwidth=bandwidth, prewhiten=prewhiten)
+        for kernel in ("bartlett", "quadratic_spectral")
+        for bandwidth in ("andrews", "newey_west")
+        for prewhiten in (True, False)])
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
+           length=st.integers(8, 120), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_rows_give_the_same_bits(self, cfg, seed, rows, length, data):
+        x = _ar1_rows(seed, rows, length)
+        picks = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=2 * rows))
+        whole = estimate_lrv_set(x, cfg)
+        for index in (picks, picks[:1]):
+            part = estimate_lrv_set(x[index], cfg)
+            for field in ("omega2", "delta", "gamma0"):
+                assert np.array_equal(getattr(part, field), getattr(whole, field)[index])
+
+
 class TestPrewhiteningErrors:
     @pytest.mark.parametrize("zero_units", [[1], [0, 2]])
     def test_zero_residual_rows_are_a_numerical_error(self, zero_units):

@@ -564,6 +564,18 @@ class TestAnalyzeMany:
         for i in (0, 2):
             _assert_same_analysis(results[i], alone[i])
 
+    def test_non_finite_statistic_fails_alone(self):
+        panels = _batch_panels(kinds=("iid",), sizes=(20, 20, 20))
+        alone = [analyze(p, k=1) for p in panels]
+        walk = np.random.default_rng(0).standard_normal((20, 60)).cumsum(axis=1)
+        panels[1] = Panel(1e153 * walk)   # as in test_overflowing_statistic_is_an_error
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = analyze_many(panels, k=1)
+        assert isinstance(results[1], NumericalError)
+        assert "statistic is inf, not finite" in str(results[1])
+        for i in (0, 2):
+            _assert_same_analysis(results[i], alone[i])
+
 
 @functools.cache
 def _mixed_batch():
@@ -715,6 +727,15 @@ class TestScaleInvariance:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="empirical information is zero"):
                 analyze(Panel(1e154 * values), k=0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, None])
+    def test_overflowing_statistic_is_an_error(self, k):
+        # At 1e153 the LRVs and the Gram matrix stay finite, but the pooled fourth
+        # moment and the prewhitening sums overflow: t_ump was inf, with p = 1.
+        values = np.random.default_rng(0).standard_normal((20, 60)).cumsum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="t_ump statistic is inf, not finite"):
+                analyze(Panel(1e153 * values), k=k)
 
     def test_zero_residual_unit_is_a_numerical_error(self):
         # One unit and one factor: the fit absorbs the unit, whose residuals
