@@ -276,13 +276,13 @@ def _record_batches(monkeypatch) -> list:
     return batches
 
 
-def _acceptance(replications=25):
-    return _experiment(sizes=((50, 100),), h_values=(0.0, -5.0), replications=replications)
+def _acceptance():
+    return _experiment(sizes=((50, 100),), h_values=(0.0, -5.0), replications=25)
 
 
-def _serial_long(replications=10):
+def _serial_long():
     return _experiment(frameworks=("MP",), sizes=((25, 400),), innovations=("ar1", "ma1"),
-                       replications=replications)
+                       replications=10)
 
 
 class TestPlan:
@@ -302,8 +302,7 @@ class TestPlan:
         assert [cell for cell, *_ in tasks] == [cell for cell in exp.cells() for _ in range(2)]
         run(exp, workers=2)
         # Each task is small enough to be one batch.
-        assert [(cell, reps) for cell, reps in batches] == [
-            (cell, list(range(start, stop))) for cell, start, stop in tasks]
+        assert batches == [(cell, list(range(start, stop))) for cell, start, stop in tasks]
 
     @settings(max_examples=60, deadline=None)
     @given(replications=st.integers(1, 1300), workers=st.integers(1, 9),
