@@ -27,12 +27,25 @@ replication's result is bit-identical to running it alone: the batches,
 and the worker count that sets the tasks, change no result. Errors stay
 per replication: a DataError, NumericalError or LinAlgError in one
 replication counts as one error, and the others in its batch still count;
-any other exception is a bug and stops the run.
+any other exception is a bug and stops the run: the tasks not yet started
+are cancelled, and the error is raised at once.
+
+The pool workers persist across `run` calls: the first pooled run forks them,
+later runs at the same worker count reuse them, a run at another count
+replaces them, and they exit with the interpreter. A worker that dies breaks
+the pool; the run raises BrokenProcessPool and the next pooled run starts a
+fresh pool. Idle workers keep their heap (see below). Each task still
+carries its Experiment, so a kept worker runs exactly the experiment it is
+given. The pool, like the BLAS thread counts below, belongs to the process:
+`run` is not meant to be called from several threads at once.
 
 While `run` executes, every loaded OpenBLAS library runs one thread per
 process: a pool of multithreaded BLAS workers oversubscribes the cores. The
 caller's thread counts are restored when `run` returns, and a user who sets
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS keeps that setting throughout.
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS keeps that setting throughout. A
+fork shuts down the caller's OpenBLAS threads, and the restore after it
+restarts them, which busy-waits for a few tenths of a second of CPU; a kept
+pool forks only once, so only the first pooled run pays that.
 
 A batch's stacked arrays are a few hundred KiB each, above glibc malloc's
 default mmap threshold, and a batch's working set rises and falls by a few
@@ -54,6 +67,7 @@ import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -365,6 +379,44 @@ def _init_worker() -> None:
     _pin_blas()
 
 
+# The one worker pool `run` keeps, as (worker count, pool); see `_pool`.
+_kept_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _pool(n_workers: int) -> ProcessPoolExecutor:
+    """The process pool of n_workers workers, kept across `run` calls.
+
+    A pool at another worker count is shut down before the new one is made,
+    so at most one exists. The last one is shut down by concurrent.futures'
+    own hook at interpreter exit.
+    """
+    global _kept_pool
+    if _kept_pool is not None and _kept_pool[0] != n_workers:
+        _drop_pool()
+    if _kept_pool is None:
+        _kept_pool = (n_workers,
+                      ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker))
+    return _kept_pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut down the kept pool, if any, cancelling the tasks not yet started."""
+    global _kept_pool
+    if _kept_pool is not None:
+        _, pool = _kept_pool
+        _kept_pool = None
+        pool.shutdown(cancel_futures=True)
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool is not this process's to use."""
+    global _kept_pool
+    _kept_pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold OpenBLAS at one thread per process, restoring the caller's counts on exit."""
@@ -413,11 +465,21 @@ def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
             for cell, start, stop in tasks:
                 fold(*_run_chunk(exp, cell, start, stop))
         else:
-            with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker) as pool:
-                futures = [pool.submit(_run_chunk, exp, cell, start, stop)
-                           for cell, start, stop in tasks]
+            pool = _pool(n_workers)
+            futures = []
+            try:
+                futures.extend(pool.submit(_run_chunk, exp, cell, start, stop)
+                               for cell, start, stop in tasks)
                 for fut in futures:
                     fold(*fut.result())
+            except BaseException as exc:
+                # A bug, a dead worker or an interrupt: queued tasks must not
+                # run on, and a broken pool must not be handed to the next run.
+                for fut in futures:
+                    fut.cancel()
+                if isinstance(exc, BrokenProcessPool):
+                    _drop_pool()
+                raise
 
     rows: list[ResultRow] = []
     for cell in cells:

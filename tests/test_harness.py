@@ -1,10 +1,13 @@
 """Monte Carlo harness: determinism, seeding, parallel equivalence, aggregation."""
 
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -38,6 +41,19 @@ def _rates(rows):
 
 def _must_not_run(*args):
     raise AssertionError("a replication ran")
+
+
+@pytest.fixture
+def own_pool():
+    """Drops the kept pool before and after the test. A test that patches a
+    harness function and then forks pool workers leaves the patch in them."""
+    harness._drop_pool()
+    yield
+    harness._drop_pool()
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 def _openblas_threads():
@@ -183,7 +199,7 @@ class TestRun:
     def test_never_more_workers_than_tasks(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(InlinePool, "sizes", sizes)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_pool", InlinePool)
         exp = _experiment(replications=2)   # one cell: 2 tasks at two or more workers
         serial = _rates(run(exp, workers=1))
         assert _rates(run(exp, workers=16)) == serial
@@ -243,19 +259,13 @@ class TestRun:
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: runs each submitted task in-process."""
+    """Stands in for `harness._pool`: runs each submitted task in-process."""
 
-    sizes = None   # the max_workers of each pool made, when a list
+    sizes = None   # the worker count of each pool asked for, when a list
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, n_workers):
         if self.sizes is not None:
-            self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+            self.sizes.append(n_workers)
 
     def submit(self, fn, *args):
         future = Future()
@@ -272,7 +282,7 @@ def _record_batches(monkeypatch) -> list:
         return [{name: False for name in exp.tests} for _ in reps]
 
     monkeypatch.setattr(harness, "_replications", recording)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_pool", InlinePool)
     return batches
 
 
@@ -338,13 +348,13 @@ class TestBlasThreads:
             monkeypatch.delenv(name, raising=False)
 
     @needs_openblas
-    def test_pool_workers_run_one_thread(self, monkeypatch):
+    def test_pool_workers_run_one_thread(self, monkeypatch, own_pool):
         monkeypatch.setattr(harness, "_run_chunk", _one_thread_chunk)
         rows = run(_experiment(replications=8), workers=2)
         assert {r.rejection_rate for r in rows} == {1.0}
 
     @needs_openblas
-    def test_caller_threads_restored(self, monkeypatch):
+    def test_caller_threads_restored(self, monkeypatch, own_pool):
         controls = harness._openblas_controls()
         saved = [get_threads() for _, get_threads in controls]
         seen = []
@@ -357,12 +367,13 @@ class TestBlasThreads:
         try:
             for set_threads, _ in controls:
                 set_threads(2)
-            run(_experiment(replications=3), workers=1)
-            assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
+            for workers in (1, 2):
+                run(_experiment(replications=3), workers=workers)
+                assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
         finally:
             for (set_threads, _), count in zip(controls, saved):
                 set_threads(count)
-        assert seen == [1, 1, 1]
+        assert seen == [1, 1, 1]   # at workers=1; pool workers record into their own copy
         assert harness.blas_threads() == 1
 
     @pytest.mark.parametrize("variable", BLAS_ENV)
@@ -390,6 +401,15 @@ class TestBlasThreads:
         assert len(run(_experiment(replications=2), workers=1)) == 3
 
 
+def _in_fresh_python(script: str) -> str:
+    """Standard output of `script` run by a fresh interpreter on this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout
+
+
 _REPEAT_RUN_FAULTS = """
 import dataclasses, resource
 from panelur import Experiment, LrvConfig, run
@@ -409,11 +429,7 @@ class TestFreedHeapKept:
         # 500 KiB, above glibc's default mmap threshold. With the default
         # thresholds the second run faults in about 1600 pages. A fresh process
         # keeps the heap the rest of the suite leaves behind out of the count.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-        done = subprocess.run([sys.executable, "-c", _REPEAT_RUN_FAULTS],
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              text=True, check=True)
-        assert int(done.stdout) < 100
+        assert int(_in_fresh_python(_REPEAT_RUN_FAULTS)) < 100
 
     def test_other_libc_left_alone(self, monkeypatch):
         opened = []
@@ -425,6 +441,124 @@ class TestFreedHeapKept:
         finally:
             harness._keep_freed_heap.cache_clear()
         assert opened == []
+
+
+def _failing_chunk(exp, cell, start, stop):
+    """Stands in for `_run_chunk`: the first task is a bug, every other one sleeps."""
+    if cell == exp.cells()[0] and start == 0:
+        raise ZeroDivisionError("a bug in the first task")
+    time.sleep(0.5)
+    return cell, {name: 0 for name in exp.tests}, stop - start, 0
+
+
+def _dying_chunk(exp, cell, start, stop):
+    os._exit(1)
+
+
+_WORKERS_AT_EXIT = """
+import multiprocessing
+from panelur import Experiment, LrvConfig, run
+run(Experiment(sizes=((15, 30),), ratios=(0.8,), replications=4,
+               lrv_cfg=LrvConfig(prewhiten=False), tests=("p_b",)), workers=2)
+print(*[p.pid for p in multiprocessing.active_children()])
+"""
+
+_RUN_IN_FORKED_CHILD = """
+import os
+from panelur import Experiment, LrvConfig, harness, run
+exp = Experiment(sizes=((15, 30),), ratios=(0.8,), replications=4,
+                 lrv_cfg=LrvConfig(prewhiten=False), tests=("p_b",))
+rows = run(exp, workers=2)
+pid = os.fork()
+if pid == 0:
+    same = run(exp, workers=2) == rows
+    harness._drop_pool()   # os._exit skips the exit hook that would shut it down
+    os._exit(0 if same else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+_CPU_AFTER_POOLED_RUNS = """
+import resource, time
+from panelur import Experiment, LrvConfig, run
+exp = Experiment(sizes=((15, 30),), ratios=(0.8,), replications=4,
+                 lrv_cfg=LrvConfig(prewhiten=False), tests=("p_b",))
+run(exp, workers=2)
+time.sleep(0.5)   # the first run forks: its restore spins, and that must die down
+run(exp, workers=2)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+before = usage.ru_utime + usage.ru_stime
+time.sleep(0.3)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(usage.ru_utime + usage.ru_stime - before)
+"""
+
+
+class TestKeptPool:
+    def test_consecutive_runs_reuse_the_workers(self, own_pool):
+        exp = _experiment(replications=6)
+        serial = _rates(run(exp, workers=1))
+        assert _rates(run(exp, workers=2)) == serial
+        first = _worker_pids()
+        assert len(first) == 2
+        assert _rates(run(exp, workers=2)) == serial
+        assert _worker_pids() == first
+        assert _rates(run(exp, workers=3)) == serial
+        third = _worker_pids()
+        assert len(third) == 3 and not third & first
+
+    # The two tests below fork the pool before patching `_run_chunk`, so the
+    # kept workers hold the real one and run the patch only where it is sent.
+
+    def test_bug_stops_pooled_run_at_once(self, monkeypatch, own_pool):
+        small = _experiment(replications=6)
+        serial = _rates(run(small, workers=1))
+        assert _rates(run(small, workers=2)) == serial
+        workers = _worker_pids()
+        # 8 cells of 2 replications at 2 workers: 16 tasks, 15 of which sleep
+        # 0.5 s, so running them all would take at least 3.75 s.
+        exp = _experiment(h_values=tuple(-float(h) for h in range(8)), replications=2)
+        assert len(harness._plan(exp, 2)[1]) == 16
+        monkeypatch.setattr(harness, "_run_chunk", _failing_chunk)
+        start = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="first task"):
+            run(exp, workers=2)
+        assert time.perf_counter() - start < 2.0
+        monkeypatch.undo()
+        # The next run on the same workers waits only for the few tasks that
+        # had already left the queue, not for the 15 the bug cancelled.
+        assert _rates(run(small, workers=2)) == serial
+        assert time.perf_counter() - start < 3.0
+        assert _worker_pids() == workers
+
+    def test_dead_worker_breaks_run_and_next_run_recovers(self, monkeypatch, own_pool):
+        exp = _experiment(replications=6)
+        serial = _rates(run(exp, workers=1))
+        assert _rates(run(exp, workers=2)) == serial
+        workers = _worker_pids()
+        monkeypatch.setattr(harness, "_run_chunk", _dying_chunk)
+        with pytest.raises(BrokenProcessPool):
+            run(exp, workers=2)
+        monkeypatch.undo()
+        assert _rates(run(exp, workers=2)) == serial
+        assert len(_worker_pids()) == 2 and not _worker_pids() & workers
+
+    def test_workers_exit_with_the_interpreter(self):
+        pids = [int(pid) for pid in _in_fresh_python(_WORKERS_AT_EXIT).split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_forked_child_makes_its_own_pool(self):
+        # The parent's pool cannot serve a forked child: using it would hang.
+        assert _in_fresh_python(_RUN_IN_FORKED_CHILD).strip() == "0"
+
+    @needs_openblas
+    def test_no_busy_wait_after_a_second_pooled_run(self):
+        # Each fork shuts down the caller's OpenBLAS threads, and restoring the
+        # caller's thread count restarts them busy-waiting, about 0.25 s of CPU
+        # over this sleep. Only the first pooled run forks.
+        assert float(_in_fresh_python(_CPU_AFTER_POOLED_RUNS)) < 0.05
 
 
 class TestRunSingle:
@@ -503,8 +637,4 @@ def test_replication_does_not_import_scipy_signal():
         "    harness.run_single(exp, cell, 0)",
         "print('scipy.signal' in sys.modules)",
     ])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert _in_fresh_python(code).strip() == "False"
