@@ -455,19 +455,20 @@ def _dying_chunk(exp, cell, start, stop):
     os._exit(1)
 
 
-_WORKERS_AT_EXIT = """
-import multiprocessing
-from panelur import Experiment, LrvConfig, run
-run(Experiment(sizes=((15, 30),), ratios=(0.8,), replications=4,
-               lrv_cfg=LrvConfig(prewhiten=False), tests=("p_b",)), workers=2)
-print(*[p.pid for p in multiprocessing.active_children()])
-"""
-
-_RUN_IN_FORKED_CHILD = """
-import os
+# A fresh interpreter's set-up for the scripts below: a 4-replication run.
+_SMALL_RUN = """
+import multiprocessing, os, resource, time
 from panelur import Experiment, LrvConfig, harness, run
 exp = Experiment(sizes=((15, 30),), ratios=(0.8,), replications=4,
                  lrv_cfg=LrvConfig(prewhiten=False), tests=("p_b",))
+"""
+
+_WORKERS_AT_EXIT = _SMALL_RUN + """
+run(exp, workers=2)
+print(*[p.pid for p in multiprocessing.active_children()])
+"""
+
+_RUN_IN_FORKED_CHILD = _SMALL_RUN + """
 rows = run(exp, workers=2)
 pid = os.fork()
 if pid == 0:
@@ -477,11 +478,7 @@ if pid == 0:
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
-_CPU_AFTER_POOLED_RUNS = """
-import resource, time
-from panelur import Experiment, LrvConfig, run
-exp = Experiment(sizes=((15, 30),), ratios=(0.8,), replications=4,
-                 lrv_cfg=LrvConfig(prewhiten=False), tests=("p_b",))
+_CPU_AFTER_POOLED_RUNS = _SMALL_RUN + """
 run(exp, workers=2)
 time.sleep(0.5)   # the first run forks: its restore spins, and that must die down
 run(exp, workers=2)
