@@ -32,12 +32,20 @@ are cancelled, and the error is raised at once.
 
 The pool workers persist across `run` calls: the first pooled run forks them,
 later runs at the same worker count reuse them, a run at another count
-replaces them, and they exit with the interpreter. A worker that dies breaks
-the pool; the run raises BrokenProcessPool and the next pooled run starts a
-fresh pool. Idle workers keep their heap (see below). Each task still
+replaces them, and they exit with the interpreter. This saves the fork, the
+first-task warm-up and the OpenBLAS restart below for every pooled run after
+the first, which pays off in a process that makes many pooled runs; a
+process that makes one, as `panelur mc` does, still pays them once. A worker
+that dies during a run breaks the pool, and the run raises
+BrokenProcessPool; a worker that died while idle is found when the next run
+gets no result back, and that run starts a fresh pool and runs its tasks
+there (see `_pooled`). Idle workers keep their heap (see below). Each task
 carries its Experiment, so a kept worker runs exactly the experiment it is
-given. The pool, like the BLAS thread counts below, belongs to the process:
-`run` is not meant to be called from several threads at once.
+given, but with the code and module state it was forked with: after
+reloading or patching panelur, a pooled run still runs the old code until
+the worker count changes or the interpreter restarts. The pool, like the
+BLAS thread counts below, belongs to the process: `run` is not meant to be
+called from several threads at once.
 
 While `run` executes, every loaded OpenBLAS library runs one thread per
 process: a pool of multithreaded BLAS workers oversubscribes the cores. The
@@ -440,6 +448,39 @@ def blas_threads() -> int | None:
     return max(counts, default=None)
 
 
+def _pooled(exp: Experiment, tasks: list[tuple], n_workers: int) -> list[tuple]:
+    """The `_run_chunk` results of the tasks, in task order, from the kept pool.
+
+    A kept worker can die while idle, between runs: the OOM killer, a
+    signal, or Ctrl-C sent to the terminal's whole process group. That
+    breaks the pool before this run gives it any work. So a reused pool
+    that breaks before any result has come back is replaced, and the tasks
+    run again on fresh workers; they are seeded, so the results are the
+    same. A fresh pool that breaks, or one that breaks after a result has
+    come back, raises BrokenProcessPool.
+    """
+    reused = _kept_pool is not None and _kept_pool[0] == n_workers
+    pool = _pool(n_workers)
+    futures, results = [], []
+    try:
+        futures.extend(pool.submit(_run_chunk, exp, cell, start, stop)
+                       for cell, start, stop in tasks)
+        for fut in futures:
+            results.append(fut.result())
+    except BaseException as exc:
+        # A bug, a dead worker or an interrupt: queued tasks must not run on,
+        # and a broken pool must not be handed to the next run.
+        for fut in futures:
+            fut.cancel()
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        _drop_pool()
+        if results or not reused:
+            raise
+        return _pooled(exp, tasks, n_workers)
+    return results
+
+
 def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
     """Execute the full grid; deterministic for a fixed experiment, any worker count.
 
@@ -465,21 +506,8 @@ def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
             for cell, start, stop in tasks:
                 fold(*_run_chunk(exp, cell, start, stop))
         else:
-            pool = _pool(n_workers)
-            futures = []
-            try:
-                futures.extend(pool.submit(_run_chunk, exp, cell, start, stop)
-                               for cell, start, stop in tasks)
-                for fut in futures:
-                    fold(*fut.result())
-            except BaseException as exc:
-                # A bug, a dead worker or an interrupt: queued tasks must not
-                # run on, and a broken pool must not be handed to the next run.
-                for fut in futures:
-                    fut.cancel()
-                if isinstance(exc, BrokenProcessPool):
-                    _drop_pool()
-                raise
+            for result in _pooled(exp, tasks, n_workers):
+                fold(*result)
 
     rows: list[ResultRow] = []
     for cell in cells:

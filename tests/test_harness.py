@@ -2,7 +2,9 @@
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -533,11 +535,22 @@ class TestKeptPool:
         assert _rates(run(exp, workers=2)) == serial
         workers = _worker_pids()
         monkeypatch.setattr(harness, "_run_chunk", _dying_chunk)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(BrokenProcessPool):   # on the kept pool, then on fresh workers
             run(exp, workers=2)
         monkeypatch.undo()
         assert _rates(run(exp, workers=2)) == serial
         assert len(_worker_pids()) == 2 and not _worker_pids() & workers
+
+    def test_worker_killed_between_runs_is_replaced(self, own_pool):
+        exp = _experiment(replications=6)
+        serial = _rates(run(exp, workers=2))
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        os.kill(workers[0].pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([workers[0].sentinel], timeout=30)
+        assert _rates(run(exp, workers=2)) == serial
+        assert len(_worker_pids()) == 2 and not _worker_pids() & {p.pid for p in workers}
+        assert _rates(run(exp, workers=1)) == serial
 
     def test_workers_exit_with_the_interpreter(self):
         pids = [int(pid) for pid in _in_fresh_python(_WORKERS_AT_EXIT).split()]
