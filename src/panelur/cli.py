@@ -27,7 +27,7 @@ from .asymptotics import emit_power_curve
 from .dgp import DgpConfig, simulate
 from .errors import DataError, NumericalError
 from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, _one_blas_thread,
-                      blas_threads, plan_summary, run)
+                      _pin_blas, blas_threads, plan_summary, run)
 from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
 from .panel import Panel
@@ -420,6 +420,10 @@ def _cmd_mc(args) -> int:
         exp = _from_json(Experiment, json.load(fh), "experiment config", {"lrv_cfg": "lrv"})
     if args.seed is not None:
         exp = replace(exp, base_seed=args.seed)
+    # One thread from here to exit: `run` would otherwise restore the default
+    # count after its pool forks, restarting OpenBLAS threads that busy-wait
+    # while this process writes its files and exits.
+    _pin_blas()
     start = time.perf_counter()
     rows = run(exp, workers=args.workers)
     wall_s = time.perf_counter() - start

@@ -21,10 +21,11 @@ lags are added one lag at a time, so a padded zero changes no bit.
 The floor on omega^2 is relative to the unit's gamma(0), so rescaling a panel
 rescales every variance and leaves every statistic unchanged.
 
-Python-level steps per call: one per autocovariance lag, a fixed handful
-for the batched Hannan-Rissanen regression (O(n T p^2) flops in matmuls
-over a strided view, p <= 12), and T steps of `panel.ar_recursion` for
-each group of units prewhitened with an MA part.
+Python-level steps per call: one per autocovariance lag; for the
+Hannan-Rissanen regression (p <= 12), p+1 lag sums and p recurrence steps
+that build its normal equations from lag products, then one batched solve
+and one batched matmul for the fitted values; and T steps of one
+`panel.ar_recursion` over the units prewhitened with an MA part.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ class LrvSet:
         return np.mean(self.delta, axis=-1)
 
 
-def _autocov(x: np.ndarray, m: int) -> np.ndarray:
-    """Lag-m sample autocovariance of each row (no mean removal)."""
-    length = x.shape[1]
-    return np.einsum("ij,ij->i", x[:, : length - m], x[:, m:]) / length
+def _autocov(x: np.ndarray, m: int, length) -> np.ndarray:
+    """Lag-m sample autocovariance of each row (no mean removal), over each row's length."""
+    width = x.shape[1]
+    return np.einsum("ij,ij->i", x[:, : width - m], x[:, m:]) / length
 
 
 def _kernel_weights(kernel: str, lags: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
@@ -118,9 +119,8 @@ def _kernel_weights(kernel: str, lags: np.ndarray, bandwidth: np.ndarray) -> np.
     return np.where(x < 1e-8, 1.0, w)
 
 
-def _andrews_bandwidth(kernel: str, x: np.ndarray) -> np.ndarray:
+def _andrews_bandwidth(kernel: str, x: np.ndarray, length) -> np.ndarray:
     """AR(1) plug-in bandwidths per row of x."""
-    length = x.shape[1]
     num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
     den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
     rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
@@ -132,60 +132,73 @@ def _andrews_bandwidth(kernel: str, x: np.ndarray) -> np.ndarray:
     return 1.3221 * (alpha * length) ** 0.2
 
 
-def _bandwidths(cfg: LrvConfig, x: np.ndarray) -> np.ndarray:
-    rows, length = x.shape
+def _bandwidths(cfg: LrvConfig, x: np.ndarray, length) -> np.ndarray:
+    rows = x.shape[0]
     if cfg.bandwidth == "fixed":
         return np.full(rows, float(cfg.fixed_bandwidth))
     if cfg.bandwidth == "newey_west":
-        return np.full(rows, float(math.floor(4.0 * (length / 100.0) ** (2.0 / 9.0))))
-    return _andrews_bandwidth(cfg.kernel, x)
+        return np.broadcast_to(np.floor(4.0 * (length / 100.0) ** (2.0 / 9.0)), rows)
+    return _andrews_bandwidth(cfg.kernel, x, length)
 
 
-def _kernel_sum(cfg: LrvConfig, x: np.ndarray) -> np.ndarray:
+def _kernel_sum(cfg: LrvConfig, x: np.ndarray, length) -> np.ndarray:
     """Kernel-weighted autocovariance sums per row (the raw two-sided LRV).
 
+    length is the series length, one for all rows or one per row; a row
+    shorter than x's width starts with zeros, which add nothing to its sums.
     Lags run to the largest truncation lag over the rows; a row's weights
     beyond its own lag are zero. The weighted lags are added one lag at a
     time, so each zero adds nothing and a row's bits do not depend on the
     other rows (a single reduction over zero-padded weights would: its SIMD
     blocking changes with the padded length).
     """
-    length = x.shape[1]
-    bw = _bandwidths(cfg, x)
+    bw = _bandwidths(cfg, x, length)
     max_lags = np.maximum(np.minimum(np.floor(bw).astype(int), length - 1), 0)
     lags = np.arange(1, int(max_lags.max()) + 1, dtype=float)
     weights = _kernel_weights(cfg.kernel, lags, bw)
     weights[lags[None, :] > max_lags[:, None]] = 0.0
     acc = np.zeros(x.shape[0])
     for m in range(1, lags.size + 1):
-        acc += weights[:, m - 1] * _autocov(x, m)
-    return _autocov(x, 0) + 2.0 * acc
+        acc += weights[:, m - 1] * _autocov(x, m, length)
+    return _autocov(x, 0, length) + 2.0 * acc
 
 
-def _hannan_rissanen_residuals(x: np.ndarray) -> tuple[np.ndarray, int]:
+def _hannan_rissanen_residuals(x: np.ndarray) -> np.ndarray:
     """Residuals of a long autoregression, used as innovation proxies.
 
-    Row i regresses x_t on x_{t-1}, ..., x_{t-p}. The lagged design is a
-    strided view of x (no copy); the normal equations, the solve and the
-    fitted values are batched matmuls over rows.
+    Row i regresses x_t on x_{t-1}, ..., x_{t-p}, t = p..L-1. Its normal
+    equations are blocks of the window Gram G[a, b] = sum_t x_{t-a} x_{t-b},
+    a, b = 0..p, laid out (p+1, p+1, rows): row 0 is p+1 lag sums, and
+    G[a+1, b+1] = G[a, b] + x_{p-1-a} x_{p-1-b} - x_{L-1-a} x_{L-1-b}.
+    The solve and the fitted values (over a strided view) are batched.
     """
     rows, length = x.shape
     p = max(4, min(12, length // 10))
-    y = x[:, p:]
-    design = sliding_window_view(x[:, : length - 1], p, axis=1)[:, :, ::-1]
-    design_t = design.transpose(0, 2, 1)
-    gram = design_t @ design
-    gram += 1e-10 * np.eye(p)[None, :, :] * np.trace(gram, axis1=1, axis2=2)[:, None, None] / p
+    window = np.empty((p + 1, p + 1, rows))
+    for b in range(p + 1):
+        window[0, b] = np.einsum("ij,ij->i", x[:, p:], x[:, p - b : length - b])
+    window[1:, 0] = window[0, 1:]
+    head = x[:, p - 1 :: -1].T.copy()            # x_{p-1-a}, a = 0..p-1
+    tail = x[:, length - p :][:, ::-1].T.copy()  # x_{L-1-a}
+    for a in range(p):
+        edge = head[a] * head
+        edge -= tail[a] * tail
+        np.add(window[a, :p], edge, out=window[a + 1, 1:])
+    diag = np.arange(1, p + 1)
+    window[diag, diag] += 1e-10 * np.trace(window[1:, 1:]) / p
+    gram = window[1:, 1:].transpose(2, 0, 1)
     try:
-        coef = np.linalg.solve(gram, design_t @ y[..., None])
+        coef = np.linalg.solve(gram, window[0, 1:].T[..., None])
     except np.linalg.LinAlgError:
         # LAPACK stops at an exactly zero pivot, which makes the determinant 0.
         units = np.flatnonzero(np.linalg.det(gram) == 0.0).tolist()
         raise NumericalError(
             f"LRV prewhitening: singular Hannan-Rissanen long-autoregression design "
             f"for unit(s) {units}") from None
-    resid = y - (design @ coef)[..., 0]
-    return resid, p
+    del window, gram
+    design = sliding_window_view(x[:, : length - 1], p, axis=1)[:, :, ::-1]
+    resid = (design @ coef)[..., 0]
+    return np.subtract(x[:, p:], resid, out=resid)
 
 
 def _mean_square(resid: np.ndarray) -> np.ndarray:
@@ -194,9 +207,12 @@ def _mean_square(resid: np.ndarray) -> np.ndarray:
     return np.mean(resid * resid, axis=1)
 
 
-def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_prewhitening(x: np.ndarray, gamma0: np.ndarray,
+                      ehat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Select per row among white noise, AR(1), MA(1), ARMA(1,1) by BIC.
 
+    gamma0 is the mean square of each row of x, and ehat the long
+    autoregression's residuals, the innovation proxies for the MA parts.
     Returns (model index, phi, theta); non-invertible or explosive fits are
     discarded, which leaves white noise as the fallback.
     """
@@ -206,8 +222,7 @@ def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     phis = np.zeros((rows, 4))
     thetas = np.zeros((rows, 4))
 
-    sigma2 = _mean_square(x)
-    bic[:, _WN] = length * np.log(np.maximum(sigma2, 1e-300))
+    bic[:, _WN] = length * np.log(np.maximum(gamma0, 1e-300))
 
     num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
     den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
@@ -217,7 +232,7 @@ def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     bic[ok, _AR1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
     phis[:, _AR1] = phi
 
-    ehat, p = _hannan_rissanen_residuals(x)
+    p = length - ehat.shape[1]
     y = x[:, p + 1 :]
     elag = ehat[:, :-1]
     xlag = x[:, p:-1]
@@ -252,34 +267,29 @@ def _fit_prewhitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return model, phis[rows_idx, model], thetas[rows_idx, model]
 
 
-def _filter_series(x: np.ndarray, model: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Apply the inverse ARMA filter of a fitted prewhitening model."""
-    if model == _WN:
-        return x
-    if model == _AR1:
-        return x[:, 1:] - phi[:, None] * x[:, :-1]
-    if model == _MA1:
-        return ar_recursion(x, -theta)
-    return ar_recursion(x[:, 1:] - phi[:, None] * x[:, :-1], -theta)
-
-
 def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, length = x.shape
+    length = x.shape[1]
     if length < _MIN_LENGTH:
         raise DataError(f"series of length {length} too short for LRV estimation (need >= {_MIN_LENGTH})")
     gamma0 = _mean_square(x)
     if cfg.prewhiten:
-        model, phi, theta = _fit_prewhitening(x)
+        model, phi, theta = _fit_prewhitening(x, gamma0, _hannan_rissanen_residuals(x))
+        # Every row's inverse ARMA filter in one pass: a row with an AR part
+        # gets a leading zero for its first value and keeps its own length
+        # L - 1. Only rows with an MA part run the recursion; over all rows it
+        # cost 5x more on a Monte Carlo batch, where most rows have theta = 0.
+        ar_part = (model == _AR1) | (model == _ARMA11)
+        filtered = np.empty_like(x)
+        filtered[:, 0] = np.where(ar_part, 0.0, x[:, 0])
+        np.multiply(phi[:, None], x[:, :-1], out=filtered[:, 1:])
+        np.subtract(x[:, 1:], filtered[:, 1:], out=filtered[:, 1:])
+        ma_part = np.flatnonzero(theta)
+        if ma_part.size:
+            filtered[ma_part] = ar_recursion(filtered[ma_part], -theta[ma_part])
         recolor = ((1.0 + theta) / (1.0 - phi)) ** 2
-        omega2 = np.empty(rows)
-        for m in (_WN, _AR1, _MA1, _ARMA11):
-            idx = np.nonzero(model == m)[0]
-            if idx.size == 0:
-                continue
-            filtered = _filter_series(x[idx], m, phi[idx], theta[idx])
-            omega2[idx] = recolor[idx] * _kernel_sum(cfg, filtered)
+        omega2 = recolor * _kernel_sum(cfg, filtered, length - ar_part)
     else:
-        omega2 = _kernel_sum(cfg, x)
+        omega2 = _kernel_sum(cfg, x, length)
     # Relative to the row's own gamma(0), so a rescaled series gets a rescaled
     # variance; `tiny` keeps an all-zero row positive (analyze rejects it).
     omega2 = np.maximum(omega2, _OMEGA_FLOOR * gamma0 + _TINY)

@@ -9,12 +9,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from panelur import lrv
 from panelur.errors import DataError, DimensionError, NumericalError
 from panelur.factors import FactorFit
 from panelur.lrv import LrvSet
 from panelur.oracle import _approx_lrv, _approx_oslrv, _correction, _simplified_delta
-from panelur.panel import DiffPanel, lagged_cumsum
+from panelur.panel import DiffPanel, ar_recursion, lagged_cumsum
 from panelur.statistics import PrecisionMatrix, UmpIntermediates
 
 _DENSE_GUARD = 4000
@@ -260,3 +262,44 @@ def psi_epsilon_inverse(nu: OracleNuisance, method: str = "smw") -> np.ndarray:
         raise NumericalError("nonpositive approximate long-run variance")
     lam = nu.loadings
     return np.linalg.inv(lam @ np.diag(nu.lrv_f) @ lam.T + np.diag(nu.lrv_eta))
+
+
+def hannan_rissanen_strided(x: np.ndarray) -> np.ndarray:
+    """Long-autoregression residuals with the normal equations as batched matmuls
+    over the strided lagged design; reference for the lag-product Gram."""
+    rows, length = x.shape
+    p = max(4, min(12, length // 10))
+    design = sliding_window_view(x[:, : length - 1], p, axis=1)[:, :, ::-1]
+    design_t = design.transpose(0, 2, 1)
+    gram = design_t @ design
+    gram += 1e-10 * np.eye(p)[None, :, :] * np.trace(gram, axis1=1, axis2=2)[:, None, None] / p
+    coef = np.linalg.solve(gram, design_t @ x[:, p:, None])
+    return x[:, p:] - (design @ coef)[..., 0]
+
+
+def _filter_series(x: np.ndarray, model: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The inverse ARMA filter of one prewhitening model, on rows that all chose it."""
+    if model == lrv._WN:
+        return x
+    if model == lrv._AR1:
+        return x[:, 1:] - phi[:, None] * x[:, :-1]
+    if model == lrv._MA1:
+        return ar_recursion(x, -theta)
+    return ar_recursion(x[:, 1:] - phi[:, None] * x[:, :-1], -theta)
+
+
+def prewhitened_lrv_by_group(x: np.ndarray, cfg: lrv.LrvConfig):
+    """(model, omega2, delta) per row, with the strided-design Hannan-Rissanen fit,
+    and the filter and the kernel sum run per model group on the filtered rows
+    at their own length; reference for the one-pass prewhitened estimator."""
+    gamma0 = lrv._mean_square(x)
+    model, phi, theta = lrv._fit_prewhitening(x, gamma0, hannan_rissanen_strided(x))
+    recolor = ((1.0 + theta) / (1.0 - phi)) ** 2
+    omega2 = np.empty(x.shape[0])
+    for m in (lrv._WN, lrv._AR1, lrv._MA1, lrv._ARMA11):
+        idx = np.flatnonzero(model == m)
+        if idx.size:
+            filtered = _filter_series(x[idx], m, phi[idx], theta[idx])
+            omega2[idx] = recolor[idx] * lrv._kernel_sum(cfg, filtered, filtered.shape[1])
+    omega2 = np.maximum(omega2, lrv._OMEGA_FLOOR * gamma0 + lrv._TINY)
+    return model, omega2, 0.5 * (omega2 - gamma0)

@@ -491,6 +491,19 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 print(usage.ru_utime + usage.ru_stime - before)
 """
 
+# `panelur mc` makes one pooled run, which forks, and then writes its files.
+_CPU_AFTER_MC_COMMAND = """
+import contextlib, io, resource, time
+from panelur import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["mc", {config!r}, {out!r}, "--workers", "2"]) == 0
+usage = resource.getrusage(resource.RUSAGE_SELF)
+before = usage.ru_utime + usage.ru_stime
+time.sleep(0.4)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(usage.ru_utime + usage.ru_stime - before)
+"""
+
 
 class TestKeptPool:
     def test_consecutive_runs_reuse_the_workers(self, own_pool):
@@ -569,6 +582,16 @@ class TestKeptPool:
         # caller's thread count restarts them busy-waiting, about 0.25 s of CPU
         # over this sleep. Only the first pooled run forks.
         assert float(_in_fresh_python(_CPU_AFTER_POOLED_RUNS)) < 0.05
+
+    @needs_openblas
+    def test_mc_command_leaves_no_busy_threads(self, tmp_path):
+        # The command pins OpenBLAS to one thread for good before its run, so
+        # the restore after the fork restarts no pool threads.
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__))))
+        script = _CPU_AFTER_MC_COMMAND.format(
+            config=os.path.join(root, "sample_data", "mc_smoke.json"),
+            out=str(tmp_path / "mc.csv"))
+        assert float(_in_fresh_python(script)) < 0.05
 
 
 class TestRunSingle:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import prewhitened_lrv_by_group
 from panelur import (DataError, DiffPanel, InnovationSpec, LrvConfig, NumericalError,
-                     estimate_lrv_set, innovation_scale)
+                     estimate_lrv_set, innovation_scale, lrv)
 
 BARTLETT_NO_PW = LrvConfig(kernel="bartlett", bandwidth="andrews", prewhiten=False)
 
@@ -237,6 +238,63 @@ class TestRowLocality:
             part = estimate_lrv_set(x[index], cfg)
             for field in ("omega2", "delta", "gamma0"):
                 assert np.array_equal(getattr(part, field), getattr(whole, field)[index])
+
+
+def _mixed_law_rows(seed, rows, length):
+    """Rows drawn from iid, AR(1) and MA(1) laws at random, so that every
+    prewhitening model is chosen by some row."""
+    rng = np.random.default_rng(seed)
+    law = rng.integers(0, 3, size=rows)
+    coef = rng.uniform(-0.8, 0.8, size=rows)
+    e = rng.standard_normal((rows, length + 1))
+    x = e[:, 1:] + np.where(law == 2, coef, 0.0)[:, None] * e[:, :-1]
+    ar = np.where(law == 1, coef, 0.0)
+    for t in range(1, length):
+        x[:, t] += ar * x[:, t - 1]
+    return rng.uniform(0.1, 10.0, size=(rows, 1)) * x
+
+
+class TestOneFilterPass:
+    # The prewhitened estimator fits the long autoregression from lag products
+    # and filters every model group in one pass over rows of one width. At
+    # lengths 100 and 101 the Newey-West lag differs between L and L - 1, so a
+    # row given the wrong length shows.
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
+           length=st.one_of(st.sampled_from([100, 101]), st.integers(8, 200)),
+           kernel=st.sampled_from(["bartlett", "quadratic_spectral"]),
+           bandwidth=st.sampled_from(["andrews", "newey_west", "fixed"]),
+           fixed=st.floats(1.0, 20.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_group_oracle(self, seed, rows, length, kernel, bandwidth, fixed):
+        cfg = LrvConfig(kernel=kernel, bandwidth=bandwidth,
+                        fixed_bandwidth=fixed if bandwidth == "fixed" else None)
+        x = _mixed_law_rows(seed, rows, length)
+        model, omega2, delta = prewhitened_lrv_by_group(x, cfg)
+        gamma0 = lrv._mean_square(x)
+        chosen = lrv._fit_prewhitening(x, gamma0, lrv._hannan_rissanen_residuals(x))[0]
+        assert np.array_equal(chosen, model)
+        est = estimate_lrv_set(x, cfg)
+        np.testing.assert_allclose(est.omega2, omega2, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(est.delta, delta, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("rows, recursions", [(1, 0), (40, 1)])
+    def test_one_kernel_sum_and_at_most_one_recursion(self, monkeypatch, rows, recursions):
+        x = _mixed_law_rows(7, rows, 120)
+        if rows > 1:  # every model group occurs, so a loop over groups would show
+            ehat = lrv._hannan_rissanen_residuals(x)
+            model = lrv._fit_prewhitening(x, lrv._mean_square(x), ehat)[0]
+            assert set(model.tolist()) == {lrv._WN, lrv._AR1, lrv._MA1, lrv._ARMA11}
+        calls = {"_kernel_sum": 0, "ar_recursion": 0}
+        for name in calls:
+            original = getattr(lrv, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(lrv, name, counted)
+        estimate_lrv_set(x, LrvConfig(prewhiten=True))
+        assert calls == {"_kernel_sum": 1, "ar_recursion": recursions}
 
 
 class TestPrewhiteningErrors:
