@@ -195,7 +195,7 @@ def _hannan_rissanen_residuals(x: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"LRV prewhitening: singular Hannan-Rissanen long-autoregression design "
             f"for unit(s) {units}") from None
-    del window, gram
+    del window, gram  # before the fitted values, the call's largest array
     design = sliding_window_view(x[:, : length - 1], p, axis=1)[:, :, ::-1]
     resid = (design @ coef)[..., 0]
     return np.subtract(x[:, p:], resid, out=resid)
@@ -277,7 +277,7 @@ def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.nda
         # Every row's inverse ARMA filter in one pass: a row with an AR part
         # gets a leading zero for its first value and keeps its own length
         # L - 1. Only rows with an MA part run the recursion; over all rows it
-        # cost 5x more on a Monte Carlo batch, where most rows have theta = 0.
+        # cost 4-5x more on a Monte Carlo batch, where most rows have theta = 0.
         ar_part = (model == _AR1) | (model == _ARMA11)
         filtered = np.empty_like(x)
         filtered[:, 0] = np.where(ar_part, 0.0, x[:, 0])

@@ -256,9 +256,9 @@ def _mixed_law_rows(seed, rows, length):
 
 class TestOneFilterPass:
     # The prewhitened estimator fits the long autoregression from lag products
-    # and filters every model group in one pass over rows of one width. At
-    # lengths 100 and 101 the Newey-West lag differs between L and L - 1, so a
-    # row given the wrong length shows.
+    # and filters every model group in one pass over rows of one width. The
+    # Newey-West lag is 3 at length 99 and 4 at 100, so at L = 100 a row with
+    # an AR part given L in place of L - 1 shows; 101 is its neighbour.
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
            length=st.one_of(st.sampled_from([100, 101]), st.integers(8, 200)),
            kernel=st.sampled_from(["bartlett", "quadratic_spectral"]),
