@@ -59,10 +59,7 @@ def estimate_factors(d: DiffPanel, k: int) -> FactorFit:
     to the input differences. A k above the rank of the differenced panel
     raises NumericalError.
     """
-    fits, errors = fit_stack(d.values[None], k)
-    if errors:
-        raise errors[0]
-    (_, loadings_bar, loadings_hat, factor_diffs, resid), = fits.values()
+    (_, loadings_bar, loadings_hat, factor_diffs, resid), = fit_stack(d.values[None], k).values()
     return FactorFit(
         loadings_bar=loadings_bar[0],
         loadings_hat=loadings_hat[0],
@@ -84,30 +81,25 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     return _select(_second_moments(x)[0], _mean_squares(x)[0], *x.shape[1:], k_max)
 
 
-def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> tuple[dict, dict]:
+def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> dict:
     """Principal-components fits to a stack of R differenced n x T' panels (R x n x T').
 
     With k None each panel's factor count is selected by IC_p2 over
-    0..k_max. Returns ({k: (rows, loadings_bar, loadings_hat, factor_diffs,
-    residuals)}, {row: error}): the panels fitted with k factors, by their
-    rows in x, with their results stacked in that order, and the DataError or
-    NumericalError of each panel whose selection or fit failed or whose
-    residuals are not finite (an overflowing fit).
+    0..k_max. Returns {k: (rows, loadings_bar, loadings_hat, factor_diffs,
+    residuals)}: the panels fitted with k factors, by their rows in x, with
+    their results stacked in that order. Raises the DataError or
+    NumericalError of the first panel whose selection or fit fails, and a
+    DataError when a fit's residuals are not finite (an overflowing fit).
     """
     n, tp = x.shape[1:]
     grams = _second_moments(x)
     totals = _mean_squares(x) if k is None else None
     chosen: dict = {}
-    errors = {}
     for r, gram in enumerate(grams):
-        try:
-            kr = k if k is not None else _select(gram, totals[r], n, tp, k_max)
-            if kr < 0 or kr > min(n, tp):
-                raise DimensionError(f"k={kr} outside 0..min(n={n}, T'={tp})")
-            vecs = _eigen(gram, n, tp, kr)[1] if kr else None
-            chosen.setdefault(kr, []).append((r, vecs))
-        except (DataError, NumericalError) as exc:
-            errors[r] = exc
+        kr = k if k is not None else _select(gram, totals[r], n, tp, k_max)
+        if kr < 0 or kr > min(n, tp):
+            raise DimensionError(f"k={kr} outside 0..min(n={n}, T'={tp})")
+        chosen.setdefault(kr, []).append((r, _eigen(gram, n, tp, kr)[1] if kr else None))
     fits = {}
     for kr, picked in chosen.items():
         rows = [r for r, _ in picked]
@@ -116,14 +108,10 @@ def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> tuple[dict, dict]
             fit = (empty, empty, np.zeros((len(rows), tp, 0)), x[rows])
         else:
             fit = _fit_arrays(x[rows], np.stack([v for _, v in picked]))
-        finite = np.isfinite(fit[3]).all(axis=(-2, -1))
-        if not finite.all():
-            for r in np.flatnonzero(~finite):
-                errors[rows[r]] = DataError("difference values contains non-finite entries")
-            rows, fit = [r for r, ok in zip(rows, finite) if ok], tuple(a[finite] for a in fit)
-        if rows:
-            fits[kr] = (rows, *fit)
-    return fits, errors
+        if not np.isfinite(fit[3]).all():
+            raise DataError("difference values contains non-finite entries")
+        fits[kr] = (rows, *fit)
+    return fits
 
 
 def _second_moments(x: np.ndarray) -> np.ndarray:

@@ -25,10 +25,11 @@ over all their residuals; only the eigensolves of the fit and the factor
 selection run replication by replication. Every step is row-local, so a
 replication's result is bit-identical to running it alone: the batches,
 and the worker count that sets the tasks, change no result. Errors stay
-per replication: a DataError, NumericalError or LinAlgError in one
-replication counts as one error, and the others in its batch still count;
-any other exception is a bug and stops the run: the tasks not yet started
-are cancelled, and the error is raised at once.
+per replication: a batch that raises a DataError, NumericalError or
+LinAlgError is rerun one replication at a time, so a failing replication
+counts as one error in every stage, simulation included. Any other
+exception is a bug and stops the run: the tasks not yet started are
+cancelled, and the error is raised at once.
 
 The pool workers persist across `run` calls: the first pooled run forks them,
 later runs at the same worker count reuse them, a run at another count
@@ -76,7 +77,7 @@ import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -105,11 +106,6 @@ _TRIM_THRESHOLD = 2 ** 25
 # Standard OpenBLAS / OpenMP thread variables: when either is set, the user's
 # choice stands and `run` leaves the thread counts alone.
 _BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-RESULT_COLUMNS = ("framework", "n", "T", "ratio", "innovation", "distribution",
-                  "bandwidth", "kernel", "prewhiten", "h", "test",
-                  "rejection_rate", "mc_std_err", "replications", "errors")
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -189,6 +185,9 @@ class ResultRow:
         return asdict(self)
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 def replication_seed(base_seed: int, n: int, t: int, ratio: float, innovation: str,
                      distribution: str, h: float, rep: int) -> int:
     """Stable 64-bit replication seed; independent of framework and scheduling."""
@@ -220,19 +219,19 @@ def _replications(exp: Experiment, cell: tuple, reps) -> list:
     """Rejection flags per requested test for each replication in `reps`, run as one batch.
 
     A failed replication's entry is its DataError, NumericalError or
-    LinAlgError instead.
+    LinAlgError instead: a batch that raises one is rerun one replication at a
+    time, so that only the faulty replications fail.
     """
     try:
-        sims = simulate_many([_cell_config(exp, cell, rep) for rep in reps])
-        panels = [sim.panel for sim in sims]
-        del sims  # the panels are all the analysis needs
+        configs = [_cell_config(exp, cell, rep) for rep in reps]
+        panels = [sim.panel for sim in simulate_many(configs)]
         results = analyze_many(panels, k=exp.k if exp.k_known else None, k_max=exp.k_max,
                                lrv_cfg=exp.lrv_cfg, alpha=exp.alpha)
     except ANALYSIS_ERRORS as exc:
-        return [exc] * len(reps)
-    return [result if isinstance(result, Exception)
-            else {name: result.outcomes[name].reject for name in exp.tests}
-            for result in results]
+        if len(reps) == 1:
+            return [exc]
+        return [flags for rep in reps for flags in _replications(exp, cell, [rep])]
+    return [{name: result.outcomes[name].reject for name in exp.tests} for result in results]
 
 
 def run_single(exp: Experiment, cell: tuple, rep: int) -> dict[str, bool]:

@@ -25,7 +25,7 @@ per-panel reductions, and every step is per panel, so a panel's statistics
 have the same bits in any stack. `analyze_many` stacks the panels of a
 batch by shape and factor count for the differencing, the factor fit (only
 the eigensolves run panel by panel) and the six statistics, and makes one
-LRV pass per panel length.
+LRV pass per panel length. A faulty panel makes the whole batch raise.
 """
 
 from __future__ import annotations
@@ -331,10 +331,7 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
     finite, such as one so large in scale that its pooled sums overflow. An
     alpha outside (0, 1) is rejected before any work.
     """
-    result, = analyze_many([panel], k=k, k_max=k_max, lrv_cfg=lrv_cfg, alpha=alpha)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return analyze_many([panel], k=k, k_max=k_max, lrv_cfg=lrv_cfg, alpha=alpha)[0]
 
 
 # What a degenerate panel raises; anything else is a bug.
@@ -342,30 +339,27 @@ ANALYSIS_ERRORS = (DataError, NumericalError, np.linalg.LinAlgError)
 
 
 def analyze_many(panels, k: int | None = None, k_max: int = 6,
-                 lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> list:
+                 lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> list[Analysis]:
     """`analyze` over a batch of panels, stacked by shape and factor count.
 
-    Entry i is panel i's Analysis, or the DataError, NumericalError or
-    LinAlgError that `analyze(panels[i], ...)` raises; any other exception
-    propagates. Panels of one shape are differenced and fitted as one stack
-    (`factors.fit_stack`); the fitted panels of one length share one
-    `estimate_lrv_set` call over all their residual rows, and the panels of
-    one shape and factor count share one pass over the six statistics. Every
-    step is per panel (see `lrv`), so each panel's Analysis is bit-identical
-    to its own `analyze`. When a stacked LRV call or statistics pass raises,
-    its panels are run one at a time, so only a faulty panel fails, with the
-    error its own `analyze` raises.
+    Entry i is panel i's Analysis. Panels of one shape are differenced and
+    fitted as one stack (`factors.fit_stack`); the fitted panels of one length
+    share one `estimate_lrv_set` call over all their residual rows, and the
+    panels of one shape and factor count share one pass over the six
+    statistics. Every step is per panel (see `lrv`), so each panel's Analysis
+    is bit-identical to its own `analyze`. If a panel is faulty, the call
+    raises the DataError, NumericalError or LinAlgError its own `analyze`
+    raises, except that an LRV error numbers units across the stacked rows.
     """
     check_alpha(alpha)
-    results: list = [None] * len(panels)
     shapes: dict = {}
     for i, panel in enumerate(panels):
         shapes.setdefault(panel.values.shape, []).append(i)
-    stacks = [s for index in shapes.values() for s in _fit(panels, index, k, k_max, results)]
-    for s in _with_lrvs(stacks, lrv_cfg, results):
-        for i, result in zip(s.index, _tests(panels, s, alpha)):
-            results[i] = result
-    return results
+    stacks = [s for index in shapes.values() for s in _fit(panels, index, k, k_max)]
+    results = {}
+    for s in _with_lrvs(stacks, lrv_cfg):
+        results.update(zip(s.index, _tests(panels, s, alpha)))
+    return [results[i] for i in range(len(panels))]
 
 
 @dataclass(frozen=True)
@@ -384,21 +378,11 @@ class _Stack:
     fit: tuple
     lrvs: LrvSet | None = None
 
-    def take(self, rows) -> _Stack:
-        return _Stack(tuple(self.index[r] for r in rows), self.levels[rows], self.diffs[rows],
-                      self.k, tuple(a[rows] for a in self.fit),
-                      None if self.lrvs is None else _take(self.lrvs, rows))
 
-
-def _take(lrvs: LrvSet, rows) -> LrvSet:
-    return LrvSet(omega2=lrvs.omega2[rows], delta=lrvs.delta[rows], gamma0=lrvs.gamma0[rows])
-
-
-def _fit(panels, index: list, k: int | None, k_max: int, results: list) -> list[_Stack]:
+def _fit(panels, index: list, k: int | None, k_max: int) -> list[_Stack]:
     """The stacks of the panels at index, all of one shape, fitted by factor count.
 
-    A panel that fails gets its error in results. The stacked residuals are
-    frozen: each panel's FactorFit holds a view of them.
+    The stacked residuals are frozen: each panel's FactorFit holds a view of them.
     """
     levels = np.stack([panels[i].values for i in index])
     diffs = np.diff(levels, axis=-1)
@@ -406,19 +390,14 @@ def _fit(panels, index: list, k: int | None, k_max: int, results: list) -> list[
     constant = ~diffs.any(axis=-1)
     for r, i in enumerate(index):
         if not finite[r]:
-            results[i] = DataError("difference values contains non-finite entries")
-        elif constant[r].any():
+            raise DataError("difference values contains non-finite entries")
+        if constant[r].any():
             units = ", ".join(repr(panels[i].unit_ids[u]) for u in np.flatnonzero(constant[r]))
-            results[i] = DataError(f"constant unit(s) {units}: all first differences are "
-                                   "zero, so the long-run variance is zero")
-    kept = np.flatnonzero(finite & ~constant.any(axis=-1))
-    fits, errors = fit_stack(diffs[kept], k, k_bound(*diffs.shape[1:], k_max))
-    for r, exc in errors.items():
-        results[index[kept[r]]] = exc
+            raise DataError(f"constant unit(s) {units}: all first differences are "
+                            "zero, so the long-run variance is zero")
     stacks = []
-    for kr, (rows, *fit) in fits.items():
+    for kr, (rows, *fit) in fit_stack(diffs, k, k_bound(*diffs.shape[1:], k_max)).items():
         fit[3].flags.writeable = False
-        rows = kept[rows]
         stacks.append(_Stack(tuple(index[r] for r in rows), levels[rows], diffs[rows], kr,
                              tuple(fit)))
     return stacks
@@ -429,23 +408,13 @@ def k_bound(n: int, tp: int, k_max: int) -> int:
     return min(k_max, min(n, tp) // 2)
 
 
-def _with_lrvs(stacks: list[_Stack], cfg: LrvConfig, results: list) -> list[_Stack]:
+def _with_lrvs(stacks: list[_Stack], cfg: LrvConfig) -> list[_Stack]:
     """The stacks with their LRVs: one estimate over the residual rows of all stacks of
-    one length. If it raises, each panel is estimated alone, so only a faulty panel
-    fails, with its error in results, and the others go on as one-panel stacks."""
+    one length."""
     out = []
     for tp in dict.fromkeys(s.diffs.shape[-1] for s in stacks):
         same = [s for s in stacks if s.diffs.shape[-1] == tp]
-        try:
-            lrvs = estimate_lrv_set(np.concatenate([s.fit[3].reshape(-1, tp) for s in same]), cfg)
-        except ANALYSIS_ERRORS as exc:
-            if len(same) == 1 and len(same[0].index) == 1:
-                results[same[0].index[0]] = exc
-            else:
-                for s in same:
-                    for r in range(len(s.index)):
-                        out += _with_lrvs([s.take([r])], cfg, results)
-            continue
+        lrvs = estimate_lrv_set(np.concatenate([s.fit[3].reshape(-1, tp) for s in same]), cfg)
         top = 0
         for s in same:
             shape = s.fit[3].shape[:2]
@@ -456,37 +425,31 @@ def _with_lrvs(stacks: list[_Stack], cfg: LrvConfig, results: list) -> list[_Sta
     return out
 
 
-def _tests(panels, s: _Stack, alpha: float) -> list:
-    """Each stacked panel's Analysis, or the error its own analysis raises: a stacked
-    pass that raises is rerun one panel at a time."""
+def _tests(panels, s: _Stack, alpha: float) -> list[Analysis]:
+    """Each stacked panel's Analysis."""
     lrvs = s.lrvs
     loadings_bar, loadings_hat, factor_diffs, resid = s.fit
-    try:
-        zero = lrvs.gamma0 == 0.0
-        if zero.any():
-            r = np.flatnonzero(zero.any(axis=-1))[0]
-            units = ", ".join(repr(panels[s.index[r]].unit_ids[u]) for u in np.flatnonzero(zero[r]))
-            raise NumericalError(f"LRV: unit(s) {units} have all-zero factor residuals, "
-                                 "so gamma(0) and the long-run variance are zero")
-        ump = ump_statistics(s.diffs, precision_matrix(lrvs, loadings_hat), lrvs)
-        stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
-                                _bn_from_residuals(resid, lrvs),
-                                _mp(s.levels, loadings_hat, lrvs)], axis=-1)
-        finite = np.isfinite(stats)
-        if not finite.all():
-            r, c = np.argwhere(~finite)[0]
-            raise NumericalError(f"{TEST_NAMES[c]} statistic is {stats[r, c]}, not finite; "
-                                 "rescale the panel if its values are very large")
-    except ANALYSIS_ERRORS as exc:
-        if len(s.index) == 1:
-            return [exc]
-        return [_tests(panels, s.take([r]), alpha)[0] for r in range(len(s.index))]
+    zero = lrvs.gamma0 == 0.0
+    if zero.any():
+        r = np.flatnonzero(zero.any(axis=-1))[0]
+        units = ", ".join(repr(panels[s.index[r]].unit_ids[u]) for u in np.flatnonzero(zero[r]))
+        raise NumericalError(f"LRV: unit(s) {units} have all-zero factor residuals, "
+                             "so gamma(0) and the long-run variance are zero")
+    ump = ump_statistics(s.diffs, precision_matrix(lrvs, loadings_hat), lrvs)
+    stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
+                            _bn_from_residuals(resid, lrvs),
+                            _mp(s.levels, loadings_hat, lrvs)], axis=-1)
+    finite = np.isfinite(stats)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise NumericalError(f"{TEST_NAMES[c]} statistic is {stats[r, c]}, not finite; "
+                             "rescale the panel if its values are very large")
     outcomes = _outcomes(TEST_NAMES, stats, alpha)
     return [Analysis(k=s.k,
                      fit=FactorFit(loadings_bar=loadings_bar[r], loadings_hat=loadings_hat[r],
                                    factor_diffs=factor_diffs[r],
                                    residuals=_diff_view(resid[r]), k=s.k),
-                     lrvs=_take(lrvs, r),
+                     lrvs=LrvSet(lrvs.omega2[r], lrvs.delta[r], lrvs.gamma0[r]),
                      ump=UmpIntermediates(delta_hat=float(ump.delta_hat[r]),
                                           j_hat=float(ump.j_hat[r]),
                                           correction=float(ump.correction[r])),

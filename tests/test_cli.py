@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,8 @@ from panelur.cli import load_panel_csv, main, write_panel_csv
 from panelur.errors import DataError
 from panelur.harness import blas_threads
 from panelur.panel import Panel
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -482,7 +485,11 @@ class TestMcCommand:
         out = tmp_path / "mc.csv"
         assert main(["mc", str(cfg), str(out), "--workers", "1"]) == 0
         with open(out, newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            fh.seek(0)
             rows = list(csv.DictReader(fh))
+        documented = README.read_text().split("as CSV with columns\n\n```\n", 1)[1]
+        assert header == "".join(documented.split("```", 1)[0].split())
         assert len(rows) == 2
         assert {r["test"] for r in rows} == {"t_ump_emp", "p_b"}
         for r in rows:

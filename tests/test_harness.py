@@ -85,6 +85,47 @@ def _one_thread_chunk(exp, cell, start, stop):
     return cell, {name: int(single) for name in exp.tests}, 1, 0
 
 
+def _last_period_unit(values):
+    # Unit 3 moves only in its last period: its Hannan-Rissanen design is singular.
+    values[3] = 0.0
+    values[3, -1] = 1.0
+    return values
+
+
+def _constant_unit(values):
+    values[2] = 1.5
+    return values
+
+
+def _zero_information(values):
+    # Every unit moves only in its first and last period: the running sums of
+    # the used differences vanish, and with them the empirical information.
+    levels = np.zeros_like(values)
+    levels[:, 1:] = np.arange(1.0, len(values) + 1.0)[:, None]
+    levels[:, -1] += 1.0
+    return levels
+
+
+def _overflowing(values):
+    return 1e153 * values
+
+
+def _break_replication(monkeypatch, exp, cell, rep, edit):
+    """Patches the simulator so that replication rep's panel is edit(its values)."""
+    faulty_seed = _cell_config(exp, cell, rep).seed
+    original = harness.simulate_many
+
+    def breaking(configs):
+        sims = original(configs)
+        for i, cfg in enumerate(configs):
+            if cfg.seed == faulty_seed:
+                values = edit(sims[i].panel.values.copy())
+                sims[i] = dataclasses.replace(sims[i], panel=Panel(values))
+        return sims
+
+    monkeypatch.setattr(harness, "simulate_many", breaking)
+
+
 class TestSeeding:
     def test_framework_free_and_stable(self):
         a = replication_seed(1, 50, 100, 0.8, "iid", "gaussian", 0.0, 7)
@@ -121,35 +162,67 @@ class TestRun:
         assert whole == [run_single(exp, cell, rep) for rep in range(6)]
         assert whole[2:5] == harness._replications(exp, cell, range(2, 5))
 
-    def test_one_singular_replication_is_one_error(self, monkeypatch):
-        # Replication 1 gets a unit that moves only in its last period: its
-        # Hannan-Rissanen design is singular, which fails the stacked LRV pass.
+    @pytest.mark.parametrize("edit, error, message", [
+        (_last_period_unit, NumericalError, r"LRV prewhitening.*unit\(s\) \[3\]"),
+        (_constant_unit, DataError, r"constant unit\(s\) 2"),
+        (_zero_information, NumericalError, "empirical information is zero"),
+        (_overflowing, NumericalError, "statistic is nan, not finite"),
+    ], ids=["hannan-rissanen", "constant-unit", "zero-information", "overflow"])
+    def test_one_singular_replication_is_one_error(self, monkeypatch, edit, error, message):
         exp = _experiment(replications=5, k=0, tests=TEST_NAMES,
                           lrv_cfg=LrvConfig(prewhiten=True))
         cell = exp.cells()[0]
-        faulty_seed = _cell_config(exp, cell, 1).seed
-        original = harness.simulate_many
-
-        def breaking(configs):
-            sims = original(configs)
-            for i, cfg in enumerate(configs):
-                if cfg.seed == faulty_seed:
-                    values = sims[i].panel.values.copy()
-                    values[3] = 0.0
-                    values[3, -1] = 1.0
-                    sims[i] = dataclasses.replace(sims[i], panel=Panel(values))
-            return sims
-
-        monkeypatch.setattr(harness, "simulate_many", breaking)
+        _break_replication(monkeypatch, exp, cell, 1, edit)
         assert any({0, 1} <= set(batch) for task in harness._plan(exp, 1)[1]
                    for batch in harness._batches(*task))   # 0 and 1 share a batch
-        with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[3\]"):
-            run_single(exp, cell, 1)
-        others = [run_single(exp, cell, rep) for rep in (0, 2, 3, 4)]
-        rows = run(exp, workers=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error, match=message):
+                run_single(exp, cell, 1)
+            others = [run_single(exp, cell, rep) for rep in (0, 2, 3, 4)]
+            batch = harness._replications(exp, cell, range(5))
+            rows = run(exp, workers=1)
+        assert isinstance(batch[1], error) and batch[:1] + batch[2:] == others
         for row in rows:
             assert row.errors == 1 and row.replications == 4
             assert round(row.rejection_rate * 4) == sum(f[row.test] for f in others)
+
+    def test_overflowing_simulation_is_one_error(self):
+        # At h = -2100 on one unit, some replications' levels overflow in the
+        # simulator. Each fails alone, so the counts do not depend on the batches
+        # that the worker count sets.
+        exp = Experiment(frameworks=("PANIC",), sizes=((1, 300),), k=0, h_values=(-2100.0,),
+                         heterogeneous_alternatives=True, replications=60, base_seed=3)
+        cell = exp.cells()[0]
+        alone = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rep in range(60):
+                try:
+                    alone.append(run_single(exp, cell, rep))
+                except statistics.ANALYSIS_ERRORS as exc:
+                    alone.append(type(exc))
+            batch = harness._replications(exp, cell, range(60))
+            counts = {workers: {(row.errors, row.replications) for row in run(exp, workers)}
+                      for workers in (1, 2)}
+        assert [r if isinstance(r, dict) else type(r) for r in batch] == alone
+        assert counts == {1: {(49, 11)}, 2: {(49, 11)}}
+
+    def test_only_a_failing_batch_is_rerun(self, monkeypatch):
+        exp = _experiment(replications=5, k=0, lrv_cfg=LrvConfig(prewhiten=True))
+        cell = exp.cells()[0]
+        calls = []
+        original = harness.analyze_many
+
+        def counting(panels, **kwargs):
+            calls.append(len(panels))
+            return original(panels, **kwargs)
+
+        monkeypatch.setattr(harness, "analyze_many", counting)
+        harness._replications(exp, cell, range(5))
+        assert calls == [5]
+        _break_replication(monkeypatch, exp, cell, 1, _constant_unit)
+        calls.clear()
+        harness._replications(exp, cell, range(5))
+        assert calls == [5, 1, 1, 1, 1, 1]
 
     def test_framework_equivalence_under_null(self):
         exp = _experiment(frameworks=("MP", "PANIC"), replications=40)
@@ -191,12 +264,16 @@ class TestRun:
 
     @pytest.mark.parametrize("error", [ValueError, RecursionError, ZeroDivisionError])
     def test_programming_bug_stops_run(self, monkeypatch, error):
+        calls = []
+
         def broken(*args, **kwargs):
+            calls.append(args)
             raise error("operands could not be broadcast together")
 
         monkeypatch.setattr(harness, "analyze_many", broken)
         with pytest.raises(error, match="broadcast"):
             run(_experiment(replications=3), workers=1)
+        assert len(calls) == 1   # not rerun one replication at a time
 
     def test_never_more_workers_than_tasks(self, monkeypatch):
         sizes = []

@@ -464,6 +464,10 @@ class TestAnalyzeMany:
             _assert_same_analysis(got, want)
             _assert_same_analysis(again, want)
 
+    # A batch with a faulty panel raises that panel's error; the Monte Carlo
+    # harness reruns such a batch one replication at a time (test_harness.py,
+    # TestRun::test_one_singular_replication_is_one_error).
+
     def test_faulty_panel_fails_alone(self):
         # Unit 3 of the middle panel moves only in its last period: its
         # differences are not all zero, but its Hannan-Rissanen design is.
@@ -473,12 +477,10 @@ class TestAnalyzeMany:
         values[3, -1] = 1.0
         panels[1] = Panel(values)
         cfg = LrvConfig(prewhiten=True)
-        results = analyze_many(panels, k=0, lrv_cfg=cfg)
-        assert isinstance(results[1], NumericalError)
-        assert "LRV prewhitening" in str(results[1]) and "unit(s) [3]" in str(results[1])
-        for i in (0, 2):
-            _assert_same_analysis(results[i], analyze(panels[i], k=0, lrv_cfg=cfg))
-        with pytest.raises(NumericalError, match=r"unit\(s\) \[3\]"):
+        # In a batch, the LRV stage numbers units across all the stacked rows.
+        with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[13\]"):
+            analyze_many(panels, k=0, lrv_cfg=cfg)
+        with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[3\]"):
             analyze(panels[1], k=0, lrv_cfg=cfg)
 
     def test_errors_are_returned_per_panel(self):
@@ -486,12 +488,9 @@ class TestAnalyzeMany:
         values = panels[0].values.copy()
         values[2] = 1.5
         panels.insert(0, Panel(values))
-        results = analyze_many(panels, k=1)
-        assert isinstance(results[0], DataError)
-        assert "constant unit(s) 2" in str(results[0])
-        for got, panel in zip(results[1:], panels[1:]):
-            _assert_same_analysis(got, analyze(panel, k=1))
-
+        for batch in (panels, panels[:1]):
+            with pytest.raises(DataError, match=r"constant unit\(s\) 2"):
+                analyze_many(batch, k=1)
 
     def test_zero_information_fails_alone(self):
         # Every unit moves only in its first and last period: the running sums of
@@ -502,15 +501,13 @@ class TestAnalyzeMany:
         levels[:, -1] += 1.0
         panels[1] = Panel(levels)
         cfg = LrvConfig(prewhiten=False)
-        results = analyze_many(panels, k=0, lrv_cfg=cfg)
-        assert isinstance(results[1], NumericalError)
-        assert "empirical information is zero" in str(results[1])
-        for i in (0, 2):
-            _assert_same_analysis(results[i], analyze(panels[i], k=0, lrv_cfg=cfg))
+        with pytest.raises(NumericalError, match="empirical information is zero"):
+            analyze_many(panels, k=0, lrv_cfg=cfg)
+        with pytest.raises(NumericalError, match="empirical information is zero"):
+            analyze(panels[1], k=0, lrv_cfg=cfg)
 
     def test_zero_gamma0_fails_alone(self, monkeypatch):
         panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
-        alone = [analyze(p, k=1) for p in panels]
         original = statistics.estimate_lrv_set
 
         def zero_unit(residuals, cfg):
@@ -520,16 +517,13 @@ class TestAnalyzeMany:
             return lrvs
 
         monkeypatch.setattr(statistics, "estimate_lrv_set", zero_unit)
-        results = analyze_many(panels, k=1)
-        assert isinstance(results[1], NumericalError)
-        assert str(results[1]).startswith("LRV: unit(s) 3 have all-zero factor residuals")
-        for i in (0, 2):
-            _assert_same_analysis(results[i], alone[i])
+        with pytest.raises(NumericalError) as excinfo:
+            analyze_many(panels, k=1)
+        assert str(excinfo.value).startswith("LRV: unit(s) 3 have all-zero factor residuals")
 
     def test_singular_loading_gram_fails_alone(self, monkeypatch):
         panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
-        alone = [analyze(p, k=1) for p in panels]
-        target = alone[1].lrvs.omega2
+        target = analyze(panels[1], k=1).lrvs.omega2
         original = statistics.precision_matrix
 
         def zero_target(lrvs, loadings):
@@ -538,17 +532,15 @@ class TestAnalyzeMany:
             return original(lrvs, np.where(hit[..., None, None], 0.0, loadings))
 
         monkeypatch.setattr(statistics, "precision_matrix", zero_target)
-        results = analyze_many(panels, k=1)
-        assert isinstance(results[1], NumericalError)
-        assert "singular 1 x 1 loading Gram matrix over 10 units" in str(results[1])
-        for i in (0, 2):
-            _assert_same_analysis(results[i], alone[i])
+        for batch in (panels, panels[1:2]):
+            with pytest.raises(NumericalError,
+                               match="singular 1 x 1 loading Gram matrix over 10 units"):
+                analyze_many(batch, k=1)
 
     def test_non_finite_residuals_fail_alone(self, monkeypatch):
         # A finite panel whose fit overflows fails the eigensolver first in every
         # case tried, so here the middle panel's eigenvectors are made nan.
         panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
-        alone = [analyze(p, k=1) for p in panels]
         original = factors._eigen
         calls = []
 
@@ -558,23 +550,18 @@ class TestAnalyzeMany:
             return vals, (np.full_like(vecs, np.nan) if len(calls) == 2 else vecs)
 
         monkeypatch.setattr(factors, "_eigen", nan_middle)
-        results = analyze_many(panels, k=1)
-        assert isinstance(results[1], DataError)
-        assert str(results[1]) == "difference values contains non-finite entries"
-        for i in (0, 2):
-            _assert_same_analysis(results[i], alone[i])
+        with pytest.raises(DataError) as excinfo:
+            analyze_many(panels, k=1)
+        assert str(excinfo.value) == "difference values contains non-finite entries"
 
     def test_non_finite_statistic_fails_alone(self):
         panels = _batch_panels(kinds=("iid",), sizes=(20, 20, 20))
-        alone = [analyze(p, k=1) for p in panels]
         walk = np.random.default_rng(0).standard_normal((20, 60)).cumsum(axis=1)
         panels[1] = Panel(1e153 * walk)   # as in test_overflowing_statistic_is_an_error
         with np.errstate(over="ignore", invalid="ignore"):
-            results = analyze_many(panels, k=1)
-        assert isinstance(results[1], NumericalError)
-        assert "statistic is inf, not finite" in str(results[1])
-        for i in (0, 2):
-            _assert_same_analysis(results[i], alone[i])
+            for batch in (panels, panels[1:2]):
+                with pytest.raises(NumericalError, match="statistic is inf, not finite"):
+                    analyze_many(batch, k=1)
 
 
 @functools.cache
@@ -640,9 +627,9 @@ class TestKmaxClamp:
         panels = _batch_panels(kinds=("iid",), sizes=(10, 10))
         with pytest.raises(DimensionError, match=f"k_max={k_max} outside 0..min"):
             analyze(panels[0], k_max=k_max)
-        for result in analyze_many(panels, k_max=k_max):
-            assert isinstance(result, DimensionError)
-            assert str(result) == f"k_max={k_max} outside 0..min(n=10, T'=59)"
+        with pytest.raises(DimensionError) as excinfo:
+            analyze_many(panels, k_max=k_max)
+        assert str(excinfo.value) == f"k_max={k_max} outside 0..min(n=10, T'=59)"
 
 
 def _invariance_panel(data):
