@@ -33,20 +33,20 @@ cancelled, and the error is raised at once.
 
 The pool workers persist across `run` calls: the first pooled run forks them,
 later runs at the same worker count reuse them, a run at another count
-replaces them, and they exit with the interpreter. This saves the fork, the
-first-task warm-up and the OpenBLAS restart below for every pooled run after
-the first, which pays off in a process that makes many pooled runs; a
-process that makes one, as `panelur mc` does, still pays them once. A worker
-that dies during a run breaks the pool, and the run raises
-BrokenProcessPool; a worker that died while idle is found when the next run
-gets no result back, and that run starts a fresh pool and runs its tasks
-there (see `_pooled`). Idle workers keep their heap (see below). Each task
-carries its Experiment, so a kept worker runs exactly the experiment it is
-given, but with the code and module state it was forked with: after
-reloading or patching panelur, a pooled run still runs the old code until
-the worker count changes or the interpreter restarts. The pool, like the
-BLAS thread counts below, belongs to the process: `run` is not meant to be
-called from several threads at once.
+replaces them, and they exit with the interpreter, or about a second after a
+parent that ran no exit hook (SIGTERM). This saves the fork, the first-task
+warm-up and the OpenBLAS restart below for every pooled run after the first,
+which pays off in a process that makes many pooled runs; a process that makes
+one, as `panelur mc` does, still pays them once. A worker that dies during a
+run breaks the pool, and the run raises BrokenProcessPool; a worker that died
+while idle is found when the next run gets no result back, and that run
+starts a fresh pool and runs its tasks there (see `_pooled`). Idle workers
+keep their heap (see below). Each task carries its Experiment, so a kept
+worker runs exactly the experiment it is given, but with the code and module
+state it was forked with: after reloading or patching panelur, a pooled run
+still runs the old code until the worker count changes or the interpreter
+restarts. The pool, like the BLAS thread counts below, belongs to the
+process: `run` is not meant to be called from several threads at once.
 
 While `run` executes, every loaded OpenBLAS library runs one thread per
 process: a pool of multithreaded BLAS workers oversubscribes the cores. The
@@ -75,6 +75,8 @@ import ctypes
 import functools
 import hashlib
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, asdict
@@ -381,9 +383,17 @@ def _keep_freed_heap() -> None:
 
 
 def _init_worker() -> None:
-    """Pool worker initializer: the malloc thresholds and one OpenBLAS thread."""
+    """Pool worker initializer: the malloc thresholds, one OpenBLAS thread, and an
+    exit when the parent is gone (PR_SET_PDEATHSIG fires when the forking thread ends)."""
     _keep_freed_heap()
     _pin_blas()
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
 
 
 # The one worker pool `run` keeps, as (worker count, pool); see `_pool`.

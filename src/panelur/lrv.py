@@ -23,8 +23,9 @@ rescales every variance and leaves every statistic unchanged.
 
 Python-level steps per call: one per autocovariance lag; for the
 Hannan-Rissanen regression (p <= 12), p+1 lag sums and p recurrence steps
-that build its normal equations from lag products, then one batched solve
-and one batched matmul for the fitted values; and T steps of one
+that build its normal equations from lag products, one step per pivot and
+per back-substitution row of their solve, and one batched matmul for the
+residuals, whose dots give every model's BIC; and T steps of one
 `panel.ar_recursion` over the units prewhitened with an MA part.
 """
 
@@ -163,14 +164,47 @@ def _kernel_sum(cfg: LrvConfig, x: np.ndarray, length) -> np.ndarray:
     return _autocov(x, 0, length) + 2.0 * acc
 
 
-def _hannan_rissanen_residuals(x: np.ndarray) -> np.ndarray:
-    """Residuals of a long autoregression, used as innovation proxies.
+def _solve_rows(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram[:, :, r] c = rhs[:, r] for every row r in place; returns rhs.
 
-    Row i regresses x_t on x_{t-1}, ..., x_{t-p}, t = p..L-1. Its normal
-    equations are blocks of the window Gram G[a, b] = sum_t x_{t-a} x_{t-b},
-    a, b = 0..p, laid out (p+1, p+1, rows): row 0 is p+1 lag sums, and
-    G[a+1, b+1] = G[a, b] + x_{p-1-a} x_{p-1-b} - x_{L-1-a} x_{L-1-b}.
-    The solve and the fitted values (over a strided view) are batched.
+    Elimination without pivoting, which suits the SPD ridged Gram, in steps
+    elementwise over the rows, so each row's bits are its own. An exactly zero
+    pivot, where LAPACK stops, raises naming the rows; inf and nan propagate
+    silently, as through LAPACK.
+    """
+    with np.errstate(all="ignore"):
+        for k in range(len(rhs)):
+            factor = gram[k + 1 :, k] / gram[k, k]
+            gram[k + 1 :, k + 1 :] -= factor[:, None] * gram[k, k + 1 :]
+            rhs[k + 1 :] -= factor * rhs[k]
+        singular = np.flatnonzero((np.diagonal(gram) == 0.0).any(axis=1))  # the pivots
+        if singular.size:
+            raise NumericalError(
+                f"LRV prewhitening: singular Hannan-Rissanen long-autoregression design "
+                f"for unit(s) {singular.tolist()}")
+        for k in reversed(range(len(rhs))):
+            rhs[k] /= gram[k, k]
+            rhs[:k] -= gram[:k, k] * rhs[k]
+    return rhs
+
+
+def _mean_square(x: np.ndarray) -> np.ndarray:
+    """gamma(0) of each row: the mean square, without mean removal."""
+    return np.mean(x * x, axis=1)
+
+
+def _fit_prewhitening(x: np.ndarray,
+                      gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Select per row among white noise, AR(1), MA(1), ARMA(1,1) by BIC.
+
+    gamma0 is the mean square of each row of x. The MA parts regress on the
+    residuals e of a long autoregression (Hannan-Rissanen) of x_t on x_{t-1},
+    ..., x_{t-p}, t = p..L-1, whose normal equations are blocks of the window
+    Gram G[a, b] = sum_t x_{t-a} x_{t-b}, a, b = 0..p, laid out (p+1, p+1, rows):
+    row 0 is p+1 lag sums, and G[a+1, b+1] = G[a, b] + x_{p-1-a} x_{p-1-b} -
+    x_{L-1-a} x_{L-1-b}. Each residual sum of squares is expanded in row sums.
+    Returns (model index, phi, theta); non-invertible or explosive fits are
+    discarded, which leaves white noise as the fallback.
     """
     rows, length = x.shape
     p = max(4, min(12, length // 10))
@@ -184,87 +218,43 @@ def _hannan_rissanen_residuals(x: np.ndarray) -> np.ndarray:
         edge = head[a] * head
         edge -= tail[a] * tail
         np.add(window[a, :p], edge, out=window[a + 1, 1:])
+    # Sums over t = p+1..L-1 of y = x_t and z = x_{t-1}, for the MA and ARMA fits.
+    yy = window[0, 0] - x[:, p] ** 2
+    yz = window[0, 1] - x[:, p] * x[:, p - 1]
+    zz = window[0, 0] - x[:, -1] ** 2
     diag = np.arange(1, p + 1)
     window[diag, diag] += 1e-10 * np.trace(window[1:, 1:]) / p
-    gram = window[1:, 1:].transpose(2, 0, 1)
-    try:
-        coef = np.linalg.solve(gram, window[0, 1:].T[..., None])
-    except np.linalg.LinAlgError:
-        # LAPACK stops at an exactly zero pivot, which makes the determinant 0.
-        units = np.flatnonzero(np.linalg.det(gram) == 0.0).tolist()
-        raise NumericalError(
-            f"LRV prewhitening: singular Hannan-Rissanen long-autoregression design "
-            f"for unit(s) {units}") from None
-    del window, gram  # before the fitted values, the call's largest array
-    design = sliding_window_view(x[:, : length - 1], p, axis=1)[:, :, ::-1]
-    resid = (design @ coef)[..., 0]
-    return np.subtract(x[:, p:], resid, out=resid)
-
-
-def _mean_square(resid: np.ndarray) -> np.ndarray:
-    """Mean square per row; the residuals die with the call, which keeps the
-    stacked batch's peak memory down."""
-    return np.mean(resid * resid, axis=1)
-
-
-def _fit_prewhitening(x: np.ndarray, gamma0: np.ndarray,
-                      ehat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select per row among white noise, AR(1), MA(1), ARMA(1,1) by BIC.
-
-    gamma0 is the mean square of each row of x, and ehat the long
-    autoregression's residuals, the innovation proxies for the MA parts.
-    Returns (model index, phi, theta); non-invertible or explosive fits are
-    discarded, which leaves white noise as the fallback.
-    """
-    rows, length = x.shape
-    log_t = math.log(length)
-    bic = np.full((rows, 4), np.inf)
-    phis = np.zeros((rows, 4))
-    thetas = np.zeros((rows, 4))
-
-    bic[:, _WN] = length * np.log(np.maximum(gamma0, 1e-300))
+    coef = np.ascontiguousarray(_solve_rows(window[1:, 1:], window[0, 1:]).T)
+    del window  # before the fitted values, the call's largest array
+    design = sliding_window_view(x[:, : length - 2], p, axis=1)[:, :, ::-1]
+    elag = (design @ coef[:, :, None])[..., 0]  # e_t for t = p..L-2
+    np.subtract(x[:, p:-1], elag, out=elag)
+    ee = np.einsum("ij,ij->i", elag, elag)
+    ye = np.einsum("ij,ij->i", x[:, p + 1 :], elag)
+    ze = np.einsum("ij,ij->i", x[:, p:-1], elag)
 
     num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
     den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
     phi = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    sigma2 = _mean_square(x[:, 1:] - phi[:, None] * x[:, :-1])
-    ok = np.abs(phi) < _STABILITY_BOUND
-    bic[ok, _AR1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
-    phis[:, _AR1] = phi
-
-    p = length - ehat.shape[1]
-    y = x[:, p + 1 :]
-    elag = ehat[:, :-1]
-    xlag = x[:, p:-1]
-
-    den = np.einsum("ij,ij->i", elag, elag)
-    theta = np.divide(np.einsum("ij,ij->i", y, elag), den,
-                      out=np.zeros_like(den), where=den > 0.0)
-    sigma2 = _mean_square(y - theta[:, None] * elag)
-    ok = np.abs(theta) < _STABILITY_BOUND
-    bic[ok, _MA1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
-    thetas[:, _MA1] = theta
-
-    g11 = np.einsum("ij,ij->i", xlag, xlag)
-    g12 = np.einsum("ij,ij->i", xlag, elag)
-    g22 = den
-    b1 = np.einsum("ij,ij->i", y, xlag)
-    b2 = np.einsum("ij,ij->i", y, elag)
-    det = g11 * g22 - g12 * g12
-    safe = np.abs(det) > 1e-12 * np.maximum(g11 * g22, 1e-300)
-    phi2 = np.zeros(rows)
-    theta2 = np.zeros(rows)
-    np.divide(g22 * b1 - g12 * b2, det, out=phi2, where=safe)
-    np.divide(g11 * b2 - g12 * b1, det, out=theta2, where=safe)
-    sigma2 = _mean_square(y - phi2[:, None] * xlag - theta2[:, None] * elag)
-    ok = safe & (np.abs(phi2) < _STABILITY_BOUND) & (np.abs(theta2) < _STABILITY_BOUND)
-    bic[ok, _ARMA11] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + 2.0 * log_t
-    phis[:, _ARMA11] = phi2
-    thetas[:, _ARMA11] = theta2
-
-    model = np.argmin(bic, axis=1)
-    rows_idx = np.arange(rows)
-    return model, phis[rows_idx, model], thetas[rows_idx, model]
+    theta = np.divide(ye, ee, out=np.zeros_like(ee), where=ee > 0.0)
+    det = zz * ee - ze * ze
+    safe = np.abs(det) > 1e-12 * np.maximum(zz * ee, 1e-300)
+    phi2 = np.divide(ee * yz - ze * ye, det, out=np.zeros(rows), where=safe)
+    theta2 = np.divide(zz * ye - ze * yz, det, out=np.zeros(rows), where=safe)
+    zero = np.zeros(rows)
+    phis = np.stack([zero, phi, zero, phi2])  # _WN, _AR1, _MA1, _ARMA11
+    thetas = np.stack([zero, zero, theta, theta2])
+    # Each least-squares fit's residual sum of squares: y'y less coef'X'y.
+    sigma2 = np.stack([gamma0,
+                       (den - x[:, 0] ** 2 + x[:, -1] ** 2 - phi * num) / (length - 1),
+                       (yy - theta * ye) / (length - p - 1),
+                       (yy - phi2 * yz - theta2 * ye) / (length - p - 1)])
+    stable = (np.abs(phis) < _STABILITY_BOUND) & (np.abs(thetas) < _STABILITY_BOUND)
+    stable[_ARMA11] &= safe
+    penalty = math.log(length) * np.array([0.0, 1.0, 1.0, 2.0])[:, None]
+    bic = np.where(stable, length * np.log(np.maximum(sigma2, 1e-300)) + penalty, np.inf)
+    model = np.argmin(bic, axis=0)
+    return model, np.choose(model, phis), np.choose(model, thetas)
 
 
 def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,7 +263,7 @@ def _batch_kernel_lrv(x: np.ndarray, cfg: LrvConfig) -> tuple[np.ndarray, np.nda
         raise DataError(f"series of length {length} too short for LRV estimation (need >= {_MIN_LENGTH})")
     gamma0 = _mean_square(x)
     if cfg.prewhiten:
-        model, phi, theta = _fit_prewhitening(x, gamma0, _hannan_rissanen_residuals(x))
+        model, phi, theta = _fit_prewhitening(x, gamma0)
         # Every row's inverse ARMA filter in one pass: a row with an AR part
         # gets a leading zero for its first value and keeps its own length
         # L - 1. Only rows with an MA part run the recursion; over all rows it

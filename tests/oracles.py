@@ -277,6 +277,67 @@ def hannan_rissanen_strided(x: np.ndarray) -> np.ndarray:
     return x[:, p:] - (design @ coef)[..., 0]
 
 
+def _mean_square(resid: np.ndarray) -> np.ndarray:
+    return np.mean(resid * resid, axis=1)
+
+
+def fit_prewhitening_residuals(x: np.ndarray, gamma0: np.ndarray,
+                               ehat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(model, phi, theta) per row by BIC among white noise, AR(1), MA(1) and
+    ARMA(1,1), each sigma^2 the mean square of its residual array; reference for
+    the selection from row sums. ehat are the long-autoregression residuals."""
+    rows, length = x.shape
+    log_t = math.log(length)
+    bic = np.full((rows, 4), np.inf)
+    phis = np.zeros((rows, 4))
+    thetas = np.zeros((rows, 4))
+
+    bic[:, lrv._WN] = length * np.log(np.maximum(gamma0, 1e-300))
+
+    num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
+    den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
+    phi = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    sigma2 = _mean_square(x[:, 1:] - phi[:, None] * x[:, :-1])
+    ok = np.abs(phi) < lrv._STABILITY_BOUND
+    bic[ok, lrv._AR1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
+    phis[:, lrv._AR1] = phi
+
+    p = length - ehat.shape[1]
+    y = x[:, p + 1 :]
+    elag = ehat[:, :-1]
+    xlag = x[:, p:-1]
+
+    den = np.einsum("ij,ij->i", elag, elag)
+    theta = np.divide(np.einsum("ij,ij->i", y, elag), den,
+                      out=np.zeros_like(den), where=den > 0.0)
+    sigma2 = _mean_square(y - theta[:, None] * elag)
+    ok = np.abs(theta) < lrv._STABILITY_BOUND
+    bic[ok, lrv._MA1] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + log_t
+    thetas[:, lrv._MA1] = theta
+
+    g11 = np.einsum("ij,ij->i", xlag, xlag)
+    g12 = np.einsum("ij,ij->i", xlag, elag)
+    g22 = den
+    b1 = np.einsum("ij,ij->i", y, xlag)
+    b2 = np.einsum("ij,ij->i", y, elag)
+    det = g11 * g22 - g12 * g12
+    safe = np.abs(det) > 1e-12 * np.maximum(g11 * g22, 1e-300)
+    phi2 = np.zeros(rows)
+    theta2 = np.zeros(rows)
+    np.divide(g22 * b1 - g12 * b2, det, out=phi2, where=safe)
+    np.divide(g11 * b2 - g12 * b1, det, out=theta2, where=safe)
+    sigma2 = _mean_square(y - phi2[:, None] * xlag - theta2[:, None] * elag)
+    ok = (safe & (np.abs(phi2) < lrv._STABILITY_BOUND)
+          & (np.abs(theta2) < lrv._STABILITY_BOUND))
+    bic[ok, lrv._ARMA11] = length * np.log(np.maximum(sigma2[ok], 1e-300)) + 2.0 * log_t
+    phis[:, lrv._ARMA11] = phi2
+    thetas[:, lrv._ARMA11] = theta2
+
+    model = np.argmin(bic, axis=1)
+    rows_idx = np.arange(rows)
+    return model, phis[rows_idx, model], thetas[rows_idx, model]
+
+
 def _filter_series(x: np.ndarray, model: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The inverse ARMA filter of one prewhitening model, on rows that all chose it."""
     if model == lrv._WN:
@@ -290,10 +351,11 @@ def _filter_series(x: np.ndarray, model: int, phi: np.ndarray, theta: np.ndarray
 
 def prewhitened_lrv_by_group(x: np.ndarray, cfg: lrv.LrvConfig):
     """(model, omega2, delta) per row, with the strided-design Hannan-Rissanen fit,
-    and the filter and the kernel sum run per model group on the filtered rows
-    at their own length; reference for the one-pass prewhitened estimator."""
-    gamma0 = lrv._mean_square(x)
-    model, phi, theta = lrv._fit_prewhitening(x, gamma0, hannan_rissanen_strided(x))
+    the selection from residual arrays, and the filter and the kernel sum run per
+    model group on the filtered rows at their own length; reference for the
+    one-pass prewhitened estimator."""
+    gamma0 = _mean_square(x)
+    model, phi, theta = fit_prewhitening_residuals(x, gamma0, hannan_rissanen_strided(x))
     recolor = ((1.0 + theta) / (1.0 - phi)) ** 2
     omega2 = np.empty(x.shape[0])
     for m in (lrv._WN, lrv._AR1, lrv._MA1, lrv._ARMA11):

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -58,6 +59,15 @@ def _worker_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def _running(pid):
+    """Whether pid is a live process; an exited one that is not reaped yet is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def _openblas_threads():
     return max(get_threads() for _, get_threads in harness._openblas_controls())
 
@@ -80,8 +90,10 @@ class _FakeOpenblas:
 def _one_thread_chunk(exp, cell, start, stop):
     """Stands in for `_run_chunk` in pool workers: one success that rejects every
     test exactly when the worker runs OpenBLAS at one thread and has no OpenBLAS
-    pool threads, that is, the process has a single OS thread."""
-    single = _openblas_threads() == 1 and len(os.listdir("/proc/self/task")) == 1
+    pool threads, that is, every OS thread of the process is a Python thread
+    (the main thread and the worker's parent watch)."""
+    single = (_openblas_threads() == 1
+              and len(os.listdir("/proc/self/task")) == threading.active_count() == 2)
     return cell, {name: int(single) for name in exp.tests}, 1, 0
 
 
@@ -547,6 +559,10 @@ run(exp, workers=2)
 print(*[p.pid for p in multiprocessing.active_children()])
 """
 
+_WORKERS_THEN_SLEEP = _WORKERS_AT_EXIT.replace("])", "], flush=True)") + """
+time.sleep(120)
+"""
+
 _RUN_IN_FORKED_CHILD = _SMALL_RUN + """
 rows = run(exp, workers=2)
 pid = os.fork()
@@ -648,6 +664,29 @@ class TestKeptPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_workers_exit_with_a_killed_parent(self):
+        # SIGTERM with no handler runs no exit hook, so the pool is not shut down.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        parent = subprocess.Popen([sys.executable, "-c", _WORKERS_THEN_SLEEP],
+                                  env=dict(os.environ, PYTHONPATH=src),
+                                  stdout=subprocess.PIPE, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            parent.send_signal(signal.SIGTERM)
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_forked_child_makes_its_own_pool(self):
         # The parent's pool cannot serve a forked child: using it would hang.

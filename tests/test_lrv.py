@@ -239,6 +239,19 @@ class TestRowLocality:
             for field in ("omega2", "delta", "gamma0"):
                 assert np.array_equal(getattr(part, field), getattr(whole, field)[index])
 
+    # The stacked shapes of an acceptance batch (13 replications of 50 x 99
+    # residuals) and of a mc_serial_long batch (5 of 25 x 399).
+    @pytest.mark.parametrize("kernel", ["bartlett", "quadratic_spectral"])
+    @pytest.mark.parametrize("rows, length", [(650, 99), (125, 399)])
+    def test_batch_shapes_give_the_same_bits(self, kernel, rows, length):
+        cfg = LrvConfig(kernel=kernel, prewhiten=True)
+        x = _mixed_law_rows(rows + length, rows, length)
+        whole = estimate_lrv_set(x, cfg)
+        for index in (np.arange(0, rows, 7), [rows // 2]):
+            part = estimate_lrv_set(x[index], cfg)
+            for field in ("omega2", "delta", "gamma0"):
+                assert np.array_equal(getattr(part, field), getattr(whole, field)[index])
+
 
 def _mixed_law_rows(seed, rows, length):
     """Rows drawn from iid, AR(1) and MA(1) laws at random, so that every
@@ -270,8 +283,7 @@ class TestOneFilterPass:
                         fixed_bandwidth=fixed if bandwidth == "fixed" else None)
         x = _mixed_law_rows(seed, rows, length)
         model, omega2, delta = prewhitened_lrv_by_group(x, cfg)
-        gamma0 = lrv._mean_square(x)
-        chosen = lrv._fit_prewhitening(x, gamma0, lrv._hannan_rissanen_residuals(x))[0]
+        chosen = lrv._fit_prewhitening(x, lrv._mean_square(x))[0]
         assert np.array_equal(chosen, model)
         est = estimate_lrv_set(x, cfg)
         np.testing.assert_allclose(est.omega2, omega2, rtol=1e-10, atol=0.0)
@@ -281,8 +293,7 @@ class TestOneFilterPass:
     def test_one_kernel_sum_and_at_most_one_recursion(self, monkeypatch, rows, recursions):
         x = _mixed_law_rows(7, rows, 120)
         if rows > 1:  # every model group occurs, so a loop over groups would show
-            ehat = lrv._hannan_rissanen_residuals(x)
-            model = lrv._fit_prewhitening(x, lrv._mean_square(x), ehat)[0]
+            model = lrv._fit_prewhitening(x, lrv._mean_square(x))[0]
             assert set(model.tolist()) == {lrv._WN, lrv._AR1, lrv._MA1, lrv._ARMA11}
         calls = {"_kernel_sum": 0, "ar_recursion": 0}
         for name in calls:
@@ -311,3 +322,34 @@ class TestPrewhiteningErrors:
         x[1] = 0.0
         est = estimate_lrv_set(DiffPanel(x), BARTLETT_NO_PW)
         assert np.all(np.isfinite(est.omega2))
+
+
+class TestSolveRows:
+    # The prewhitening regression solves a (p, p, rows) stack of ridged Grams.
+    @staticmethod
+    def _stack(p, rows, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, p, p))
+        gram = a @ a.transpose(0, 2, 1) + p * np.eye(p)  # SPD, condition number below ~10
+        return gram, rng.standard_normal((rows, p))
+
+    @pytest.mark.parametrize("p", [4, 9, 12])
+    @pytest.mark.parametrize("rows", [1, 13, 650])
+    def test_matches_lapack_and_each_row_alone(self, p, rows):
+        gram, rhs = self._stack(p, rows, 100 * p + rows)
+        want = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        layout = gram.transpose(1, 2, 0).copy()
+        got = lrv._solve_rows(layout.copy(), rhs.T.copy()).T
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() <= 1e-12
+        for r in range(rows):
+            alone = lrv._solve_rows(layout[:, :, r : r + 1].copy(), rhs.T[:, r : r + 1].copy())
+            assert np.array_equal(alone[:, 0], got[r])
+
+    def test_zero_pivot_names_its_rows(self):
+        gram, rhs = self._stack(9, 650, 3)
+        gram[[0, 649]] = 0.0
+        rhs[[0, 649]] = 0.0
+        with pytest.raises(NumericalError, match=r"LRV prewhitening: singular Hannan-Rissanen "
+                           r"long-autoregression design for unit\(s\) \[0, 649\]$"):
+            lrv._solve_rows(gram.transpose(1, 2, 0).copy(), rhs.T.copy())
