@@ -559,7 +559,9 @@ run(exp, workers=2)
 print(*[p.pid for p in multiprocessing.active_children()])
 """
 
-_WORKERS_THEN_SLEEP = _WORKERS_AT_EXIT.replace("])", "], flush=True)") + """
+_WORKERS_THEN_SLEEP = _SMALL_RUN + """
+run(exp, workers=2)
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
 time.sleep(120)
 """
 
