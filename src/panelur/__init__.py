@@ -22,8 +22,7 @@ from .lrv import LrvConfig, LrvSet, estimate_lrv_set
 from .oracle import innovation_covariance, lan_convergence_report
 from .panel import DiffPanel, Panel, difference, lagged_cumsum
 from .statistics import (Analysis, PrecisionMatrix, TestOutcome, UmpIntermediates, analyze,
-                         bn_statistics, bn_tests, mp_tests, precision_matrix, t_ump,
-                         t_ump_emp, ump_statistics)
+                         bn_tests, mp_tests, precision_matrix, t_ump, t_ump_emp, ump_statistics)
 
 __all__ = [
     "FISHER_INFORMATION", "PowerCurve", "emit_power_curve", "local_power_mp_bn",
@@ -37,6 +36,5 @@ __all__ = [
     "innovation_covariance", "lan_convergence_report",
     "DiffPanel", "Panel", "difference", "lagged_cumsum",
     "Analysis", "PrecisionMatrix", "TestOutcome", "UmpIntermediates", "analyze",
-    "bn_statistics", "bn_tests", "mp_tests", "precision_matrix", "t_ump", "t_ump_emp",
-    "ump_statistics",
+    "bn_tests", "mp_tests", "precision_matrix", "t_ump", "t_ump_emp", "ump_statistics",
 ]

@@ -39,34 +39,33 @@ class PowerCurve:
     ratio: float
 
 
+def _power(alpha: float, h_abs, ratio: float):
+    """Phi(Phi^{-1}(alpha) + ratio |h| / sqrt(2)), elementwise over h_abs, after
+    the domain checks; ratio 1 gives the envelope."""
+    check_alpha(alpha)
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    if np.any(np.asarray(h_abs) < 0.0):
+        raise ValueError("h_abs must be nonnegative")
+    return ndtr(ndtri(alpha) + ratio * h_abs / math.sqrt(2.0))
+
+
 def power_envelope(alpha: float, h_abs: float) -> float:
     """Maximal attainable asymptotic local power at deviation |h|."""
-    check_alpha(alpha)
-    if h_abs < 0.0:
-        raise ValueError("h_abs must be nonnegative")
-    return float(ndtr(ndtri(alpha) + h_abs / math.sqrt(2.0)))
+    return float(_power(alpha, h_abs, 1.0))
 
 
 def local_power_mp_bn(alpha: float, h_abs: float, ratio: float) -> float:
     """Asymptotic local power of the pooled MP and BN tests at deviation |h|."""
-    check_alpha(alpha)
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    if h_abs < 0.0:
-        raise ValueError("h_abs must be nonnegative")
-    return float(ndtr(ndtri(alpha) + ratio * h_abs / math.sqrt(2.0)))
+    return float(_power(alpha, h_abs, ratio))
 
 
 def emit_power_curve(alpha: float, h_grid, ratio: float) -> PowerCurve:
     """Evaluate both power series over a sorted, nonnegative grid of |h|."""
-    check_alpha(alpha)
     grid = np.asarray(h_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("h grid must be a nonempty 1-d sequence")
-    if np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
-        raise ValueError("h grid must be nonnegative and sorted ascending")
-    shift = ndtri(alpha)
-    envelope = ndtr(shift + grid / math.sqrt(2.0))
-    local = ndtr(shift + ratio * grid / math.sqrt(2.0))
-    return PowerCurve(alpha=alpha, h_grid=grid, envelope=envelope,
-                      local_power=local, ratio=ratio)
+    if np.any(np.diff(grid) < 0.0):
+        raise ValueError("h grid must be sorted ascending")
+    return PowerCurve(alpha=alpha, h_grid=grid, envelope=_power(alpha, grid, 1.0),
+                      local_power=_power(alpha, grid, ratio), ratio=ratio)

@@ -82,10 +82,6 @@ class LrvSet:
     delta: np.ndarray
     gamma0: np.ndarray
 
-    @property
-    def n_units(self) -> int:
-        return self.omega2.shape[-1]
-
     # Pooled over the units of each panel: a float for one panel, else an array
     # over the leading axes of a stack of panels.
 
@@ -120,12 +116,17 @@ def _kernel_weights(kernel: str, lags: np.ndarray, bandwidth: np.ndarray) -> np.
     return np.where(x < 1e-8, 1.0, w)
 
 
-def _andrews_bandwidth(kernel: str, x: np.ndarray, length) -> np.ndarray:
-    """AR(1) plug-in bandwidths per row of x."""
+def _ar1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of x: num = sum x_t x_{t-1}, den = sum x_{t-1}^2 and the AR(1)
+    slope num / den, 0 where den is 0."""
     num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
     den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
-    rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    rho = np.clip(rho, -0.97, 0.97)
+    return num, den, np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _andrews_bandwidth(kernel: str, x: np.ndarray, length) -> np.ndarray:
+    """AR(1) plug-in bandwidths per row of x."""
+    rho = np.clip(_ar1(x)[2], -0.97, 0.97)
     if kernel == "bartlett":
         alpha = 4.0 * rho ** 2 / ((1.0 - rho) ** 2 * (1.0 + rho) ** 2)
         return 1.1447 * np.cbrt(alpha * length)
@@ -233,9 +234,7 @@ def _fit_prewhitening(x: np.ndarray,
     ye = np.einsum("ij,ij->i", x[:, p + 1 :], elag)
     ze = np.einsum("ij,ij->i", x[:, p:-1], elag)
 
-    num = np.einsum("ij,ij->i", x[:, 1:], x[:, :-1])
-    den = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
-    phi = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    num, den, phi = _ar1(x)
     theta = np.divide(ye, ee, out=np.zeros_like(ee), where=ee > 0.0)
     det = zz * ee - ze * ze
     safe = np.abs(det) > 1e-12 * np.maximum(zz * ee, 1e-300)

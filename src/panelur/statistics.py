@@ -25,13 +25,14 @@ per-panel reductions, and every step is per panel, so a panel's statistics
 have the same bits in any stack. `analyze_many` stacks the panels of a
 batch by shape and factor count for the differencing, the factor fit (only
 the eigensolves run panel by panel) and the six statistics, and makes one
-LRV pass per panel length. A faulty panel makes the whole batch raise.
+LRV pass per shape. A faulty panel makes the whole batch raise; an LRV error
+numbers units across the stacked rows of its shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -51,7 +52,6 @@ __all__ = [
     "ump_statistics",
     "t_ump",
     "t_ump_emp",
-    "bn_statistics",
     "bn_tests",
     "mp_tests",
 ]
@@ -252,17 +252,6 @@ def _bn(e_lag: np.ndarray, e_cur: np.ndarray, lrvs: LrvSet, t_dim: int) -> np.nd
                       "degenerate idiosyncratic paths: zero lagged sum of squares")
 
 
-def bn_statistics(e_lag: np.ndarray, e_cur: np.ndarray, lrvs: LrvSet,
-                  t_dim: int, alpha: float = 0.05):
-    """Pooled bias-corrected autoregression tests on given idiosyncratic paths.
-
-    t_dim is the time dimension entering the bias correction and the
-    sqrt(n) T prefactor. For paths stacked along leading axes (R x n x T),
-    with lrvs stacked alike, returns a list of (p_a, p_b) per panel.
-    """
-    return _outcomes(("p_a", "p_b"), _bn(e_lag, e_cur, lrvs, t_dim), alpha)
-
-
 def _bn_from_residuals(resid: np.ndarray, lrvs: LrvSet) -> np.ndarray:
     used = _used_columns(resid)
     lagged = lagged_cumsum(used)
@@ -343,45 +332,45 @@ def analyze_many(panels, k: int | None = None, k_max: int = 6,
     """`analyze` over a batch of panels, stacked by shape and factor count.
 
     Entry i is panel i's Analysis. Panels of one shape are differenced and
-    fitted as one stack (`factors.fit_stack`); the fitted panels of one length
-    share one `estimate_lrv_set` call over all their residual rows, and the
-    panels of one shape and factor count share one pass over the six
-    statistics. Every step is per panel (see `lrv`), so each panel's Analysis
-    is bit-identical to its own `analyze`. If a panel is faulty, the call
-    raises the DataError, NumericalError or LinAlgError its own `analyze`
-    raises, except that an LRV error numbers units across the stacked rows.
+    fitted as one stack (`factors.fit_stack`) and share one `estimate_lrv_set`
+    call over all their residual rows; the panels of one shape and factor
+    count share one pass over the six statistics. Every step is per panel
+    (see `lrv`), so each panel's Analysis is bit-identical to its own
+    `analyze`. If a panel is faulty, the call raises the DataError,
+    NumericalError or LinAlgError its own `analyze` raises, except that an
+    LRV error numbers units across the stacked rows of the panel's shape.
     """
     check_alpha(alpha)
     shapes: dict = {}
     for i, panel in enumerate(panels):
         shapes.setdefault(panel.values.shape, []).append(i)
-    stacks = [s for index in shapes.values() for s in _fit(panels, index, k, k_max)]
     results = {}
-    for s in _with_lrvs(stacks, lrv_cfg):
-        results.update(zip(s.index, _tests(panels, s, alpha)))
+    for (n, t), index in shapes.items():
+        stacks = _fit(panels, index, k, k_max)
+        # The stacked residual rows are a temporary, freed before the statistics run.
+        lrvs = estimate_lrv_set(
+            np.concatenate([fit[3] for *_, fit in stacks]).reshape(-1, t - 1), lrv_cfg)
+        per_panel = [a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)]
+        top = 0
+        for stack in stacks:
+            block = slice(top, top + len(stack[0]))
+            top = block.stop
+            part = LrvSet(*(a[block] for a in per_panel))
+            results.update(zip(stack[0], _tests(panels, *stack, part, alpha)))
     return [results[i] for i in range(len(panels))]
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Panels of one shape and factor count k, stacked along a leading axis.
-
-    index holds each panel's position in `analyze_many`'s batch; fit holds
-    the stacked loadings_bar, loadings_hat, factor_diffs and residuals, and
-    lrvs, once estimated, the LrvSet stacked alike.
-    """
-
-    index: tuple
-    levels: np.ndarray
-    diffs: np.ndarray
-    k: int
-    fit: tuple
-    lrvs: LrvSet | None = None
+def _units(panel: Panel, mask: np.ndarray) -> str:
+    """The ids of the panel's units where mask is set, for an error message."""
+    return ", ".join(repr(panel.unit_ids[u]) for u in np.flatnonzero(mask))
 
 
-def _fit(panels, index: list, k: int | None, k_max: int) -> list[_Stack]:
-    """The stacks of the panels at index, all of one shape, fitted by factor count.
+def _fit(panels, index: list, k: int | None, k_max: int) -> list[tuple]:
+    """The panels at index, all of one shape, fitted and stacked by factor count k.
 
+    Returns one (index, levels, diffs, k, fit) per factor count: the panels'
+    positions in `analyze_many`'s batch, their stacked levels and differences,
+    and the stacked loadings_bar, loadings_hat, factor_diffs and residuals.
     The stacked residuals are frozen: each panel's FactorFit holds a view of them.
     """
     levels = np.stack([panels[i].values for i in index])
@@ -392,14 +381,12 @@ def _fit(panels, index: list, k: int | None, k_max: int) -> list[_Stack]:
         if not finite[r]:
             raise DataError("difference values contains non-finite entries")
         if constant[r].any():
-            units = ", ".join(repr(panels[i].unit_ids[u]) for u in np.flatnonzero(constant[r]))
-            raise DataError(f"constant unit(s) {units}: all first differences are "
-                            "zero, so the long-run variance is zero")
+            raise DataError(f"constant unit(s) {_units(panels[i], constant[r])}: all first "
+                            "differences are zero, so the long-run variance is zero")
     stacks = []
     for kr, (rows, *fit) in fit_stack(diffs, k, k_bound(*diffs.shape[1:], k_max)).items():
         fit[3].flags.writeable = False
-        stacks.append(_Stack(tuple(index[r] for r in rows), levels[rows], diffs[rows], kr,
-                             tuple(fit)))
+        stacks.append((tuple(index[r] for r in rows), levels[rows], diffs[rows], kr, tuple(fit)))
     return stacks
 
 
@@ -408,50 +395,32 @@ def k_bound(n: int, tp: int, k_max: int) -> int:
     return min(k_max, min(n, tp) // 2)
 
 
-def _with_lrvs(stacks: list[_Stack], cfg: LrvConfig) -> list[_Stack]:
-    """The stacks with their LRVs: one estimate over the residual rows of all stacks of
-    one length."""
-    out = []
-    for tp in dict.fromkeys(s.diffs.shape[-1] for s in stacks):
-        same = [s for s in stacks if s.diffs.shape[-1] == tp]
-        lrvs = estimate_lrv_set(np.concatenate([s.fit[3].reshape(-1, tp) for s in same]), cfg)
-        top = 0
-        for s in same:
-            shape = s.fit[3].shape[:2]
-            block = slice(top, top + shape[0] * shape[1])
-            top = block.stop
-            out.append(replace(s, lrvs=LrvSet(*(a.reshape(-1)[block].reshape(shape) for a in
-                                                (lrvs.omega2, lrvs.delta, lrvs.gamma0)))))
-    return out
-
-
-def _tests(panels, s: _Stack, alpha: float) -> list[Analysis]:
-    """Each stacked panel's Analysis."""
-    lrvs = s.lrvs
-    loadings_bar, loadings_hat, factor_diffs, resid = s.fit
+def _tests(panels, index: tuple, levels: np.ndarray, diffs: np.ndarray, k: int, fit: tuple,
+           lrvs: LrvSet, alpha: float) -> list[Analysis]:
+    """Each stacked panel's Analysis, from one `_fit` stack and its LRVs."""
+    loadings_bar, loadings_hat, factor_diffs, resid = fit
     zero = lrvs.gamma0 == 0.0
     if zero.any():
         r = np.flatnonzero(zero.any(axis=-1))[0]
-        units = ", ".join(repr(panels[s.index[r]].unit_ids[u]) for u in np.flatnonzero(zero[r]))
-        raise NumericalError(f"LRV: unit(s) {units} have all-zero factor residuals, "
-                             "so gamma(0) and the long-run variance are zero")
-    ump = ump_statistics(s.diffs, precision_matrix(lrvs, loadings_hat), lrvs)
+        raise NumericalError(f"LRV: unit(s) {_units(panels[index[r]], zero[r])} have all-zero "
+                             "factor residuals, so gamma(0) and the long-run variance are zero")
+    ump = ump_statistics(diffs, precision_matrix(lrvs, loadings_hat), lrvs)
     stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
                             _bn_from_residuals(resid, lrvs),
-                            _mp(s.levels, loadings_hat, lrvs)], axis=-1)
+                            _mp(levels, loadings_hat, lrvs)], axis=-1)
     finite = np.isfinite(stats)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
         raise NumericalError(f"{TEST_NAMES[c]} statistic is {stats[r, c]}, not finite; "
                              "rescale the panel if its values are very large")
     outcomes = _outcomes(TEST_NAMES, stats, alpha)
-    return [Analysis(k=s.k,
+    return [Analysis(k=k,
                      fit=FactorFit(loadings_bar=loadings_bar[r], loadings_hat=loadings_hat[r],
                                    factor_diffs=factor_diffs[r],
-                                   residuals=_diff_view(resid[r]), k=s.k),
+                                   residuals=_diff_view(resid[r]), k=k),
                      lrvs=LrvSet(lrvs.omega2[r], lrvs.delta[r], lrvs.gamma0[r]),
                      ump=UmpIntermediates(delta_hat=float(ump.delta_hat[r]),
                                           j_hat=float(ump.j_hat[r]),
                                           correction=float(ump.correction[r])),
                      outcomes=dict(zip(TEST_NAMES, outcomes[r])))
-            for r in range(len(s.index))]
+            for r in range(len(index))]

@@ -17,7 +17,7 @@ from panelur.factors import FactorFit
 from panelur.lrv import LrvSet
 from panelur.oracle import _approx_lrv, _approx_oslrv, _correction, _simplified_delta
 from panelur.panel import DiffPanel, ar_recursion, lagged_cumsum
-from panelur.statistics import PrecisionMatrix, UmpIntermediates
+from panelur.statistics import PrecisionMatrix, UmpIntermediates, _bn, _outcomes
 
 _DENSE_GUARD = 4000
 
@@ -103,6 +103,14 @@ def mp_statistics_dense(y: np.ndarray, loadings, lrvs: LrvSet) -> tuple[float, f
     scale = math.sqrt(n) * t_dim * ((cross - n * t_dim * lrvs.pooled_delta) / denom - 1.0)
     return (scale / math.sqrt(2.0 * phi4 / omega2 ** 2),
             scale * math.sqrt(denom / (n * t_dim * t_dim) * omega2 / phi4))
+
+
+def bn_statistics(e_lag: np.ndarray, e_cur: np.ndarray, lrvs: LrvSet, t_dim: int,
+                  alpha: float = 0.05):
+    """(p_a, p_b) of one panel's pooled bias-corrected autoregression on given
+    idiosyncratic paths, by the package's own pooled sums; t_dim is the time
+    dimension in the bias correction and the sqrt(n) T prefactor."""
+    return _outcomes(("p_a", "p_b"), _bn(e_lag, e_cur, lrvs, t_dim), alpha)
 
 
 @dataclass(frozen=True)

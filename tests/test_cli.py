@@ -472,6 +472,14 @@ class TestEnvelopeCommand:
         assert float(rows[1.0]["mp_bn_power"]) == pytest.approx(0.140256, abs=1e-5)
         assert float(rows[2.0]["mp_bn_power"]) == pytest.approx(0.303807, abs=1e-5)
 
+    @pytest.mark.parametrize("ratio", ["2", "0", "-0.5"])
+    def test_ratio_outside_unit_interval_rejected(self, tmp_path, capsys, ratio):
+        # A ratio above 1 would put the pooled tests' power above the envelope.
+        out = tmp_path / "curve.csv"
+        assert main(["envelope", str(out), "--ratio", ratio]) == 2
+        assert capsys.readouterr().err.startswith("error: ratio must lie in (0, 1]")
+        assert not out.exists()
+
 
 class TestMcCommand:
     def test_smoke_grid(self, tmp_path):

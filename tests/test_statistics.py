@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_precision, mp_statistics_dense, ump_statistics_naive
+from oracles import bn_statistics, dense_precision, mp_statistics_dense, ump_statistics_naive
 from panelur import (DataError, DgpConfig, DiffPanel, DimensionError, InnovationSpec, LrvConfig,
-                     LrvSet, NumericalError, Panel, PrecisionMatrix, analyze, bn_statistics,
-                     bn_tests, difference, estimate_factors, estimate_lrv_set, lagged_cumsum,
-                     mp_tests, precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
+                     LrvSet, NumericalError, Panel, PrecisionMatrix, analyze, bn_tests,
+                     difference, estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
+                     precision_matrix, simulate, t_ump, t_ump_emp, ump_statistics)
 from panelur import factors, statistics
 from panelur.statistics import TEST_NAMES, analyze_many
 
