@@ -14,7 +14,7 @@ import platform
 import sys
 import time
 from collections import defaultdict
-from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, fields, is_dataclass, replace
 from functools import partial
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -278,12 +278,18 @@ def _label_key(label: str):
 
 
 def write_panel_csv(path: str, panel: Panel) -> None:
+    # Python floats one unit at a time: the whole panel at once raised the peak RSS.
+    _write_csv(path, ["unit", "time", "value"],
+               ([unit, time_label, value] for unit, row in zip(panel.unit_ids, panel.values)
+                for time_label, value in zip(panel.time_ids, row.tolist())))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """The header and rows as CSV: CRLF line ends, str() of each field, so repr floats."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["unit", "time", "value"])
-        for i, unit in enumerate(panel.unit_ids):
-            for j, time_label in enumerate(panel.time_ids):
-                writer.writerow([unit, time_label, repr(float(panel.values[i, j]))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _lrv_config(args) -> LrvConfig:
@@ -427,11 +433,7 @@ def _cmd_mc(args) -> int:
     start = time.perf_counter()
     rows = run(exp, workers=args.workers)
     wall_s = time.perf_counter() - start
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row.as_dict())
+    _write_csv(args.out, RESULT_COLUMNS, map(astuple, rows))
     manifest = {
         "experiment": asdict(exp),
         "versions": {"panelur": __version__, "python": platform.python_version(),
@@ -447,13 +449,15 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
+    if not 0.0 < args.step < np.inf:
+        raise DataError(f"--step must be finite and positive, got {args.step}")
+    if not 0.0 <= args.h_max < np.inf:
+        raise DataError(f"--h-max must be finite and non-negative, got {args.h_max}")
     grid = np.arange(0.0, args.h_max + args.step / 2.0, args.step)
     curve = emit_power_curve(args.alpha, grid, args.ratio)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h_abs", "envelope", "mp_bn_power"])
-        for h, env, loc in zip(curve.h_grid, curve.envelope, curve.local_power):
-            writer.writerow([f"{h:g}", repr(float(env)), repr(float(loc))])
+    _write_csv(args.out, ["h_abs", "envelope", "mp_bn_power"],
+               ([f"{h:g}", env, loc] for h, env, loc in zip(
+                   curve.h_grid, curve.envelope.tolist(), curve.local_power.tolist())))
     print(f"wrote {curve.h_grid.size} rows to {args.out}")
     return 0
 
@@ -484,11 +488,7 @@ def _cmd_selftest(args) -> int:
         shrunk = large[gap]["median_abs_diff"] <= small[gap]["median_abs_diff"] * 1.5
         check(f"{gap} does not grow with size", shrunk)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+        _write_csv(args.csv, REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in rows))
         print(f"wrote report to {args.csv}")
     if failures:
         print(f"{len(failures)} selftest checks failed", file=sys.stderr)
@@ -513,8 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="bartlett")
     p_test.add_argument("--bandwidth", default="andrews",
                         help="andrews | newey-west | fixed=B")
-    p_test.add_argument("--prewhiten", dest="prewhiten", action="store_true", default=True)
-    p_test.add_argument("--no-prewhiten", dest="prewhiten", action="store_false")
+    p_test.add_argument("--prewhiten", action=argparse.BooleanOptionalAction, default=True)
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--json", action="store_true", help="machine-readable output")
     p_test.set_defaults(func=_cmd_test)

@@ -77,6 +77,7 @@ import hashlib
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, asdict
@@ -143,6 +144,10 @@ class Experiment:
             object.__setattr__(self, grid, values)
             if not values:
                 raise DataError(f"experiment grid {grid!r} is empty")
+            # Compared by ==, so 0.0 and -0.0 repeat: equal cells would merge.
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise DataError(f"experiment grid {grid!r} repeats {repeated[0]!r}")
         unknown = set(self.tests) - set(TEST_NAMES)
         if unknown:
             raise DataError(f"unknown test names: {sorted(unknown)}")
@@ -264,20 +269,13 @@ def _batches(cell: tuple, start: int, stop: int) -> list[range]:
 
 
 def _run_chunk(exp: Experiment, cell: tuple, rep_start: int, rep_stop: int):
-    """Rejection and error counts over a contiguous replication range, run as
-    `_batches` of it."""
-    counts = {name: 0 for name in exp.tests}
-    successes = 0
-    errors = 0
-    for batch in _batches(cell, rep_start, rep_stop):
-        for flags in _replications(exp, cell, batch):
-            if isinstance(flags, Exception):
-                errors += 1
-                continue
-            successes += 1
-            for name, rejected in flags.items():
-                counts[name] += int(rejected)
-    return cell, counts, successes, errors
+    """(cell, rejections per test, successes, errors) over a contiguous
+    replication range, run as `_batches` of it."""
+    outcomes = [flags for batch in _batches(cell, rep_start, rep_stop)
+                for flags in _replications(exp, cell, batch)]
+    done = [flags for flags in outcomes if not isinstance(flags, Exception)]
+    counts = {name: sum(flags[name] for flags in done) for name in exp.tests}
+    return cell, counts, len(done), len(outcomes) - len(done)
 
 
 def _requested_workers(workers: int | None) -> int:
@@ -452,9 +450,8 @@ def blas_threads() -> int | None:
     That is 1 unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, in
     which case OpenBLAS keeps the count the variable gave it.
     """
-    with _one_blas_thread():
-        counts = [get_threads() for _, get_threads in _openblas_controls()]
-    return max(counts, default=None)
+    counts = [get_threads() for _, get_threads in _openblas_controls()]
+    return 1 if counts and _blas_controls() else max(counts, default=None)
 
 
 def _pooled(exp: Experiment, tasks: list[tuple], n_workers: int) -> list[tuple]:
@@ -497,40 +494,32 @@ def run(exp: Experiment, workers: int | None = None) -> list[ResultRow]:
     malloc thresholds (see the module docstring), in the serial path and in
     every pool worker alike.
     """
-    cells = exp.cells()
     n_workers, tasks = _plan(exp, workers)
-    results = {cell: ({name: 0 for name in exp.tests}, 0, 0) for cell in cells}
-
-    def fold(cell, counts, successes, errors):
-        agg, succ, err = results[cell]
-        for name, c in counts.items():
-            agg[name] += c
-        results[cell] = (agg, succ + successes, err + errors)
-
     # Set before the pool forks, so forked workers inherit both settings; the
     # initializer covers the spawn and forkserver start methods.
     _keep_freed_heap()
     with _one_blas_thread():
-        if n_workers == 1:
-            for cell, start, stop in tasks:
-                fold(*_run_chunk(exp, cell, start, stop))
-        else:
-            for result in _pooled(exp, tasks, n_workers):
-                fold(*result)
+        chunks = ([_run_chunk(exp, *task) for task in tasks] if n_workers == 1
+                  else _pooled(exp, tasks, n_workers))
+    # The grids repeat no value, so the cells are distinct and keep exp.cells() order.
+    totals = {cell: (Counter(), Counter()) for cell in exp.cells()}
+    for cell, counts, successes, errors in chunks:
+        rejections, runs = totals[cell]
+        rejections.update(counts)
+        runs.update(successes=successes, errors=errors)
 
     rows: list[ResultRow] = []
-    for cell in cells:
-        fw, n, t, ratio, innov, dist, h = cell
-        agg, successes, errors = results[cell]
+    for (fw, n, t, ratio, innov, dist, h), (rejections, runs) in totals.items():
+        successes = runs["successes"]
         for name in exp.tests:
-            rate = agg[name] / successes if successes else float("nan")
+            rate = rejections[name] / successes if successes else float("nan")
             se = (np.sqrt(rate * (1.0 - rate) / successes) if successes else float("nan"))
             rows.append(ResultRow(
                 framework=fw, n=n, T=t, ratio=ratio, innovation=innov,
                 distribution=dist, bandwidth=exp.lrv_cfg.bandwidth,
                 kernel=exp.lrv_cfg.kernel, prewhiten=exp.lrv_cfg.prewhiten,
                 h=h, test=name, rejection_rate=float(rate), mc_std_err=float(se),
-                replications=successes, errors=errors,
+                replications=successes, errors=runs["errors"],
             ))
     return rows
 

@@ -1,8 +1,10 @@
 """Command-line interface: file formats, subcommands, exit codes."""
 
+import argparse
 import csv
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -480,6 +482,21 @@ class TestEnvelopeCommand:
         assert capsys.readouterr().err.startswith("error: ratio must lie in (0, 1]")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--step", "0", "--step must be finite and positive, got 0.0"),
+        ("--step", "-1", "--step must be finite and positive, got -1.0"),
+        ("--step", "nan", "--step must be finite and positive, got nan"),
+        ("--step", "inf", "--step must be finite and positive, got inf"),
+        ("--h-max", "-1", "--h-max must be finite and non-negative, got -1.0"),
+        ("--h-max", "nan", "--h-max must be finite and non-negative, got nan"),
+        ("--h-max", "inf", "--h-max must be finite and non-negative, got inf"),
+    ])
+    def test_grid_flags_out_of_range_rejected(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "curve.csv"
+        assert main(["envelope", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestMcCommand:
     def test_smoke_grid(self, tmp_path):
@@ -564,6 +581,56 @@ class TestMcCommand:
         assert manifest["workers"] == 1
         assert manifest["tasks"] == len(tasks)
         assert manifest["largest_batch"] == max(batches)
+
+
+def test_readme_documents_every_long_option():
+    """Each subcommand's `###` README section names every long option its parser
+    defines, as a whole option name: `--seeds` does not document `--seed`."""
+    parts = README.read_text().split("\n### `panelur ")[1:]
+    sections = dict(part.split("\n## ", 1)[0].split(" ", 1) for part in parts)
+    subcommands, = (action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    missing = [(name, option) for name, parser in subcommands.items()
+               for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               and not re.search(rf"(?<![\w-]){option}(?![\w-])", sections[name])]
+    assert missing == []
+
+
+def test_report_csvs_pin_their_bytes(tmp_path):
+    """CRLF line ends, repr floats, True/False flags and %g grid points."""
+    def first_lines(path):
+        header, line, *_ = path.read_bytes().split(b"\r\n")
+        return header.decode(), line.decode().split(",")
+
+    def repr_float(text):
+        return repr(float(text)) == text
+
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"sizes": [[10, 25]], "ratios": [0.8], "h_values": [0.0],
+                               "replications": 4, "tests": ["p_b"],
+                               "lrv": {"prewhiten": False}}))
+    mc, env, report = (tmp_path / name for name in ("mc.csv", "env.csv", "report.csv"))
+    assert main(["mc", str(cfg), str(mc), "--workers", "1"]) == 0
+    assert main(["envelope", str(env), "--h-max", "1"]) == 0
+    # Three seeds may fail the selftest's checks (exit 3); the report is written either way.
+    assert main(["selftest", "--seeds", "3", "--csv", str(report)]) in (0, 3)
+
+    header, line = first_lines(mc)
+    assert header == ",".join(harness.RESULT_COLUMNS)
+    assert line[:11] == ["PANIC", "10", "25", "0.8", "iid", "gaussian", "andrews", "bartlett",
+                         "False", "0.0", "p_b"]
+    assert repr_float(line[11]) and repr_float(line[12]) and line[13:] == ["4", "0"]
+
+    rows = [row.split(",") for row in env.read_bytes().decode().split("\r\n")]
+    assert rows[0] == ["h_abs", "envelope", "mp_bn_power"]
+    assert [row[0] for row in rows] == ["h_abs", "0", "0.5", "1", ""]
+    assert all(repr_float(value) for row in rows[1:-1] for value in row[1:])
+
+    header, line = first_lines(report)
+    assert header == "n,T,quantity,median_abs_diff,mean,variance,skew,kurtosis,seeds"
+    assert line[:3] == ["10", "50", "delta_panic"] and line[-1] == "3"
+    assert all(map(repr_float, line[3:-1]))
 
 
 class TestSelftestCommand:

@@ -343,6 +343,15 @@ class TestRun:
         (dict(replications=True), "replications must be an integer, got True"),
         (dict(k_max=2.5, k_known=False), "k_max must be an integer, got 2.5"),
         (dict(base_seed=1.5), "base_seed must be an integer, got 1.5"),
+        # A repeated value would make two equal cells that count into the same rows.
+        (dict(frameworks=("MP", "PANIC", "MP")), "grid 'frameworks' repeats 'MP'"),
+        (dict(sizes=((15, 30), [15, 30])), r"grid 'sizes' repeats \(15, 30\)"),
+        (dict(ratios=(0.8, 1, 1.0)), "grid 'ratios' repeats 1.0"),
+        (dict(innovations=("iid", "iid")), "grid 'innovations' repeats 'iid'"),
+        (dict(distributions=("gaussian",) * 2), "grid 'distributions' repeats 'gaussian'"),
+        (dict(h_values=(0.0, 0.0)), "grid 'h_values' repeats 0.0"),
+        (dict(h_values=(0.0, -0.0)), "grid 'h_values' repeats -0.0"),
+        (dict(tests=("p_b", "t_ump", "p_b")), "grid 'tests' repeats 'p_b'"),
     ])
     def test_invalid_cell_fails_at_construction(self, grid, message):
         with pytest.raises(DataError, match=message):
@@ -479,6 +488,12 @@ class TestBlasThreads:
         run(exp, workers=1)
         assert blas.calls == []
         assert harness.blas_threads() == 4
+
+    def test_count_read_without_setting(self, monkeypatch):
+        blas = _FakeOpenblas(threads=4)
+        monkeypatch.setattr(harness, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        assert harness.blas_threads() == 1
+        assert blas.calls == []
 
     def test_libraries_at_one_thread_left_alone(self, monkeypatch):
         blas = _FakeOpenblas(threads=1)
