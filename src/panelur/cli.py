@@ -23,11 +23,11 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._blas import _pin_blas, blas_threads
 from .asymptotics import emit_power_curve
 from .dgp import DgpConfig, simulate
 from .errors import DataError, NumericalError
-from .harness import (Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, _one_blas_thread,
-                      _pin_blas, blas_threads, plan_summary, run)
+from .harness import Experiment, RESULT_COLUMNS, WORKERS_ENV_VAR, plan_summary, run
 from .lrv import LrvConfig
 from .oracle import REPORT_COLUMNS, lan_convergence_report
 from .panel import Panel
@@ -310,10 +310,7 @@ def _lrv_config(args) -> LrvConfig:
 def _cmd_test(args) -> int:
     panel = load_panel_csv(args.panel)
     cfg = _lrv_config(args)
-    # numpy and scipy may each load an OpenBLAS; the factor fit calls scipy's LAPACK
-    # between numpy products, and two multithreaded pools spin against each other.
-    with _one_blas_thread():
-        result = analyze(panel, k=args.k, k_max=args.kmax, lrv_cfg=cfg, alpha=args.alpha)
+    result = analyze(panel, k=args.k, k_max=args.kmax, lrv_cfg=cfg, alpha=args.alpha)
     lrvs = result.lrvs
     bound = None if args.k is not None else k_bound(panel.n_units, panel.n_periods - 1,
                                                     args.kmax)

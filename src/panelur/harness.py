@@ -48,13 +48,12 @@ still runs the old code until the worker count changes or the interpreter
 restarts. The pool, like the BLAS thread counts below, belongs to the
 process: `run` is not meant to be called from several threads at once.
 
-While `run` executes, every loaded OpenBLAS library runs one thread per
-process: a pool of multithreaded BLAS workers oversubscribes the cores. The
-caller's thread counts are restored when `run` returns, and a user who sets
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS keeps that setting throughout. A
-fork shuts down the caller's OpenBLAS threads, and the restore after it
-restarts them, which busy-waits for a few tenths of a second of CPU; a kept
-pool forks only once, so only the first pooled run pays that.
+`run` holds one OpenBLAS thread per process (see `_blas`) around the whole
+run, so that forked workers inherit one thread, and restores the caller's
+counts when it returns. A fork shuts down the caller's OpenBLAS threads, and
+the restore after it restarts them, which busy-waits for a few tenths of a
+second of CPU; a kept pool forks only once, so only the first pooled run
+pays that.
 
 A batch's stacked arrays are a few hundred KiB each, above glibc malloc's
 default mmap threshold, and a batch's working set rises and falls by a few
@@ -70,7 +69,6 @@ back. Under another C library nothing is changed.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -84,6 +82,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
+from ._blas import _one_blas_thread, _pin_blas
 from .asymptotics import local_power_mp_bn, power_envelope
 from .dgp import DgpConfig, InnovationSpec, _check_integers, simulate_many
 from .errors import DataError
@@ -91,7 +90,7 @@ from .lrv import LrvConfig
 from .statistics import ANALYSIS_ERRORS, TEST_NAMES, analyze_many, check_alpha
 
 __all__ = ["Experiment", "ResultRow", "run", "power_figure_data", "replication_seed",
-           "plan_summary", "blas_threads", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
+           "plan_summary", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
 
 WORKERS_ENV_VAR = "PANELUR_WORKERS"
 
@@ -105,10 +104,6 @@ _STACKED_CELLS = 2 ** 16
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
 _MMAP_THRESHOLD = 2 ** 22
 _TRIM_THRESHOLD = 2 ** 25
-
-# Standard OpenBLAS / OpenMP thread variables: when either is set, the user's
-# choice stands and `run` leaves the thread counts alone.
-_BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 @dataclass(frozen=True)
 class Experiment:
@@ -316,57 +311,6 @@ def plan_summary(exp: Experiment, workers: int | None = None) -> dict:
 
 
 @functools.cache
-def _openblas_controls() -> tuple:
-    """(set, get) thread-count functions of each OpenBLAS mapped into this process."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = (line.split(maxsplit=5) for line in fh)
-            paths = sorted({f[5].strip() for f in fields
-                            if len(f) == 6 and "openblas" in os.path.basename(f[5])})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        # Plain builds export openblas_*; the scipy-openblas wheels add a
-        # scipy_ prefix and, for the 64-bit integer build, a 64_ suffix.
-        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
-                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-            if hasattr(lib, name % "set") and hasattr(lib, name % "get"):
-                set_threads, get_threads = getattr(lib, name % "set"), getattr(lib, name % "get")
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                controls.append((set_threads, get_threads))
-                break
-    return tuple(controls)
-
-
-def _blas_controls() -> tuple:
-    """The OpenBLAS controls `run` may change: none when the user set a thread variable."""
-    if any(name in os.environ for name in _BLAS_ENV_VARS):
-        return ()
-    return _openblas_controls()
-
-
-def _set_blas_threads(controls: tuple, counts: list[int]) -> None:
-    """Give each OpenBLAS its thread count, leaving alone those already there.
-
-    After a fork, OpenBLAS restarts its thread pool on any set call, and the
-    new pool threads busy-wait for about a tenth of a second of CPU: a forked
-    worker that inherited one thread must not call the setter again.
-    """
-    for (set_threads, get_threads), count in zip(controls, counts):
-        if get_threads() != count:
-            set_threads(count)
-
-
-def _pin_blas() -> None:
-    """Set every controllable OpenBLAS to one thread."""
-    controls = _blas_controls()
-    _set_blas_threads(controls, [1] * len(controls))
-
-
-@functools.cache
 def _keep_freed_heap() -> None:
     """Fix glibc's mmap and trim thresholds for this process, once; no-op elsewhere."""
     try:
@@ -430,28 +374,6 @@ def _forget_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_pool)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread per process, restoring the caller's counts on exit."""
-    controls = _blas_controls()
-    saved = [get_threads() for _, get_threads in controls]
-    _pin_blas()
-    try:
-        yield
-    finally:
-        _set_blas_threads(controls, saved)
-
-
-def blas_threads() -> int | None:
-    """OpenBLAS threads per process while `run` executes; None when no OpenBLAS is found.
-
-    That is 1 unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, in
-    which case OpenBLAS keeps the count the variable gave it.
-    """
-    counts = [get_threads() for _, get_threads in _openblas_controls()]
-    return 1 if counts and _blas_controls() else max(counts, default=None)
 
 
 def _pooled(exp: Experiment, tasks: list[tuple], n_workers: int) -> list[tuple]:

@@ -74,14 +74,6 @@ class DiffPanel:
             raise DimensionError(f"difference panel must be nonempty, got {arr.shape}")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n_units(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_periods(self) -> int:
-        return self.values.shape[1]
-
 
 def _diff_view(values: np.ndarray) -> DiffPanel:
     """A DiffPanel over values, a read-only finite float array made inside the package:
@@ -93,8 +85,6 @@ def _diff_view(values: np.ndarray) -> DiffPanel:
 
 def difference(p: Panel) -> DiffPanel:
     """First-difference a panel along time: out[i, t] = p[i, t+1] - p[i, t]."""
-    if p.n_periods < 2:
-        raise DimensionError("differencing needs at least two periods")
     return DiffPanel(np.diff(p.values, axis=1))
 
 

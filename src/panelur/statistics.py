@@ -26,7 +26,8 @@ have the same bits in any stack. `analyze_many` stacks the panels of a
 batch by shape and factor count for the differencing, the factor fit (only
 the eigensolves run panel by panel) and the six statistics, and makes one
 LRV pass per shape. A faulty panel makes the whole batch raise; an LRV error
-numbers units across the stacked rows of its shape.
+numbers units across the stacked rows of its shape. `analyze_many` runs at
+one thread per OpenBLAS and restores the caller's counts (see `_blas`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._blas import _one_blas_thread
 from .errors import DataError, DimensionError, NumericalError
 from .factors import FactorFit, fit_stack
 from .lrv import LrvConfig, LrvSet, estimate_lrv_set
@@ -103,10 +105,6 @@ class PrecisionMatrix:
         self.weighted = weighted
         self.solved = solved
 
-    @property
-    def k(self) -> int:
-        return self.weighted.shape[-1]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator times an n x T array, in O(nTK)."""
         return self.inv_weights[..., None] * x - self.weighted @ (self.solved @ x)
@@ -119,11 +117,6 @@ class PrecisionMatrix:
                sb: np.ndarray) -> np.ndarray:
         """sum(a * (Psi b)) per panel, given the scores wa of a and sb of b."""
         return _dot(self.inv_weights, _dot(a, b)) - _dot2(wa, sb)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n matrix; the statistics never form it."""
-        return self.apply(np.eye(self.inv_weights.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -239,7 +232,8 @@ def _pooled_ar(cross, denom, lrvs: LrvSet, n: int, t_dim: int, degenerate: str) 
     omega2 = lrvs.pooled_omega2
     phi4 = lrvs.pooled_phi4
     if np.any(phi4 <= 0.0):
-        raise NumericalError("nonpositive pooled fourth moment")
+        raise NumericalError("pooled fourth moment underflowed to zero; "
+                             "rescale the panel if its values are very small")
     rho = (cross - n * t_dim * lrvs.pooled_delta) / denom
     scale = math.sqrt(n) * t_dim * (rho - 1.0)
     return np.stack([scale / np.sqrt(2.0 * phi4 / omega2 ** 2),
@@ -345,18 +339,19 @@ def analyze_many(panels, k: int | None = None, k_max: int = 6,
     for i, panel in enumerate(panels):
         shapes.setdefault(panel.values.shape, []).append(i)
     results = {}
-    for (n, t), index in shapes.items():
-        stacks = _fit(panels, index, k, k_max)
-        # The stacked residual rows are a temporary, freed before the statistics run.
-        lrvs = estimate_lrv_set(
-            np.concatenate([fit[3] for *_, fit in stacks]).reshape(-1, t - 1), lrv_cfg)
-        per_panel = [a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)]
-        top = 0
-        for stack in stacks:
-            block = slice(top, top + len(stack[0]))
-            top = block.stop
-            part = LrvSet(*(a[block] for a in per_panel))
-            results.update(zip(stack[0], _tests(panels, *stack, part, alpha)))
+    with _one_blas_thread():
+        for (n, t), index in shapes.items():
+            stacks = _fit(panels, index, k, k_max)
+            # The stacked residual rows are a temporary, freed before the statistics run.
+            lrvs = estimate_lrv_set(
+                np.concatenate([fit[3] for *_, fit in stacks]).reshape(-1, t - 1), lrv_cfg)
+            per_panel = [a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)]
+            top = 0
+            for stack in stacks:
+                block = slice(top, top + len(stack[0]))
+                top = block.stop
+                part = LrvSet(*(a[block] for a in per_panel))
+                results.update(zip(stack[0], _tests(panels, *stack, part, alpha)))
     return [results[i] for i in range(len(panels))]
 
 
@@ -412,7 +407,7 @@ def _tests(panels, index: tuple, levels: np.ndarray, diffs: np.ndarray, k: int, 
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
         raise NumericalError(f"{TEST_NAMES[c]} statistic is {stats[r, c]}, not finite; "
-                             "rescale the panel if its values are very large")
+                             "rescale the panel if its values are very large or very small")
     outcomes = _outcomes(TEST_NAMES, stats, alpha)
     return [Analysis(k=k,
                      fit=FactorFit(loadings_bar=loadings_bar[r], loadings_hat=loadings_hat[r],

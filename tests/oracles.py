@@ -219,6 +219,12 @@ def delta_mp_exact(d: DiffPanel, nu: OracleNuisance) -> tuple[float, float]:
     return delta, info
 
 
+def dense_operator(psi: PrecisionMatrix) -> np.ndarray:
+    """The dense n x n matrix of a PrecisionMatrix (over its leading axes), which
+    the statistics never form."""
+    return psi.apply(np.eye(psi.inv_weights.shape[-1]))
+
+
 def _precision(nu: OracleNuisance, form: str) -> PrecisionMatrix:
     """Inverse LRVs ('diag'), minus the factor space as the SMW inverse ('smw') or
     the full projection ('star')."""
@@ -263,7 +269,7 @@ def psi_epsilon_inverse(nu: OracleNuisance, method: str = "smw") -> np.ndarray:
     acting on the unit dimension.
     """
     if method == "smw":
-        return _precision(nu, "smw").matrix
+        return dense_operator(_precision(nu, "smw"))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     if np.any(nu.lrv_eta <= 0.0):

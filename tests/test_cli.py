@@ -15,9 +15,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from panelur import DgpConfig, analyze, cli, harness, simulate, statistics
+from panelur._blas import _blas_controls, blas_threads
 from panelur.cli import load_panel_csv, main, write_panel_csv
 from panelur.errors import DataError
-from panelur.harness import blas_threads
+from panelur.factors import fit_stack
 from panelur.panel import Panel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -346,7 +347,7 @@ class TestSimulateAndTest:
             assert "note" not in capsys.readouterr().out
 
     def test_analysis_runs_at_one_blas_thread(self, tmp_path, sim_config, monkeypatch):
-        controls = harness._blas_controls()
+        controls = _blas_controls()
         if not controls:
             pytest.skip("no OpenBLAS whose thread count panelur may set")
 
@@ -357,11 +358,11 @@ class TestSimulateAndTest:
 
         def spy(*args, **kwargs):
             seen.append(counts())
-            return analyze(*args, **kwargs)
+            return fit_stack(*args, **kwargs)
 
         out = tmp_path / "panel.csv"
         main(["simulate", str(sim_config), str(out)])
-        monkeypatch.setattr(cli, "analyze", spy)
+        monkeypatch.setattr(statistics, "fit_stack", spy)
         _run_test_json(out, "--k", "1")
         assert seen == [[1] * len(controls)]
         assert counts() == before
@@ -595,6 +596,14 @@ def test_readme_documents_every_long_option():
                if option.startswith("--") and option != "--help"
                and not re.search(rf"(?<![\w-]){option}(?![\w-])", sections[name])]
     assert missing == []
+
+
+def test_readme_layout_lists_every_module():
+    """The README's Layout block has a line for each module of the package."""
+    layout = README.read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {path.name for path in Path(cli.__file__).parent.glob("*.py")}
+    assert sorted(modules - listed - {"__init__.py"}) == []
 
 
 def test_report_csvs_pin_their_bytes(tmp_path):

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from panelur import (DataError, Experiment, LrvConfig, NumericalError, Panel, analyze, harness,
                      power_figure_data, replication_seed, run, simulate, statistics)
+from panelur import _blas
 from panelur.harness import RESULT_COLUMNS, WORKERS_ENV_VAR, _cell_config, run_single
 from panelur.statistics import TEST_NAMES
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-needs_openblas = pytest.mark.skipif(not harness._openblas_controls(),
+needs_openblas = pytest.mark.skipif(not _blas._openblas_controls(),
                                     reason="no OpenBLAS library loaded")
 needs_glibc = pytest.mark.skipif(not os.confstr("CS_GNU_LIBC_VERSION"), reason="not glibc")
 
@@ -69,7 +70,7 @@ def _running(pid):
 
 
 def _openblas_threads():
-    return max(get_threads() for _, get_threads in harness._openblas_controls())
+    return max(get_threads() for _, get_threads in _blas._openblas_controls())
 
 
 class _FakeOpenblas:
@@ -441,6 +442,22 @@ class TestPlan:
             assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
 
 
+# Library `analyze` calls on the 1000x200 panel of the cli_test_large benchmark,
+# each followed by a sleep.
+_CPU_AFTER_LIBRARY_ANALYSES = """
+import resource, time
+from panelur import DgpConfig, analyze, simulate
+panel = simulate(DgpConfig(framework="PANIC", n=1000, T=200, K=2, lrv_ratio=0.8, seed=21)).panel
+for _ in range(3):
+    analyze(panel)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    before = usage.ru_utime + usage.ru_stime
+    time.sleep(0.4)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(usage.ru_utime + usage.ru_stime - before)
+"""
+
+
 class TestBlasThreads:
     @pytest.fixture(autouse=True)
     def no_user_setting(self, monkeypatch):
@@ -455,7 +472,7 @@ class TestBlasThreads:
 
     @needs_openblas
     def test_caller_threads_restored(self, monkeypatch, own_pool):
-        controls = harness._openblas_controls()
+        controls = _blas._openblas_controls()
         saved = [get_threads() for _, get_threads in controls]
         seen = []
 
@@ -474,12 +491,12 @@ class TestBlasThreads:
             for (set_threads, _), count in zip(controls, saved):
                 set_threads(count)
         assert seen == [1, 1, 1]   # at workers=1; pool workers record into their own copy
-        assert harness.blas_threads() == 1
+        assert _blas.blas_threads() == 1
 
     @pytest.mark.parametrize("variable", BLAS_ENV)
     def test_user_variable_respected(self, monkeypatch, variable):
         blas = _FakeOpenblas(threads=4)
-        monkeypatch.setattr(harness, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((blas.set, blas.get),))
         exp = _experiment(replications=2)
         run(exp, workers=1)
         assert blas.calls == [1, 4]
@@ -487,23 +504,40 @@ class TestBlasThreads:
         monkeypatch.setenv(variable, "4")
         run(exp, workers=1)
         assert blas.calls == []
-        assert harness.blas_threads() == 4
+        assert _blas.blas_threads() == 4
+
+    @pytest.mark.parametrize("variable", (None,) + BLAS_ENV)
+    def test_library_analysis_runs_at_one_thread(self, monkeypatch, variable):
+        blas = _FakeOpenblas(threads=4)
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        if variable:
+            monkeypatch.setenv(variable, "4")
+        exp = _experiment()
+        analyze(simulate(_cell_config(exp, exp.cells()[0], 0)).panel, k=1)
+        assert blas.calls == ([] if variable else [1, 4])
+
+    @needs_openblas
+    def test_library_analysis_leaves_no_busy_threads(self):
+        # At the default thread counts both OpenBLAS pools spin after the call,
+        # 0.1-0.2 s of CPU over this sleep, unless the analysis pins them.
+        cpu = [float(line) for line in _in_fresh_python(_CPU_AFTER_LIBRARY_ANALYSES).split()]
+        assert len(cpu) == 3 and max(cpu) < 0.05
 
     def test_count_read_without_setting(self, monkeypatch):
         blas = _FakeOpenblas(threads=4)
-        monkeypatch.setattr(harness, "_openblas_controls", lambda: ((blas.set, blas.get),))
-        assert harness.blas_threads() == 1
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        assert _blas.blas_threads() == 1
         assert blas.calls == []
 
     def test_libraries_at_one_thread_left_alone(self, monkeypatch):
         blas = _FakeOpenblas(threads=1)
-        monkeypatch.setattr(harness, "_openblas_controls", lambda: ((blas.set, blas.get),))
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((blas.set, blas.get),))
         run(_experiment(replications=2), workers=1)
         assert blas.calls == []
 
     def test_no_openblas(self, monkeypatch):
-        monkeypatch.setattr(harness, "_openblas_controls", lambda: ())
-        assert harness.blas_threads() is None
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ())
+        assert _blas.blas_threads() is None
         assert len(run(_experiment(replications=2), workers=1)) == 3
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bn_statistics, dense_precision, mp_statistics_dense, ump_statistics_naive
+from oracles import (bn_statistics, dense_operator, dense_precision, mp_statistics_dense,
+                     ump_statistics_naive)
 from panelur import (DataError, DgpConfig, DiffPanel, DimensionError, InnovationSpec, LrvConfig,
                      LrvSet, NumericalError, Panel, PrecisionMatrix, analyze, bn_tests,
                      difference, estimate_factors, estimate_lrv_set, lagged_cumsum, mp_tests,
@@ -37,23 +38,23 @@ def _random_pipeline(seed, n=12, t=40, k=2, h=0.0):
 class TestPrecisionMatrix:
     def test_no_factor_diagonal(self):
         psi = precision_matrix(_lrvs([1.0, 4.0]), None)
-        assert np.array_equal(psi.matrix, np.diag([1.0, 0.25]))
-        assert psi.k == 0
+        assert np.array_equal(dense_operator(psi), np.diag([1.0, 0.25]))
+        assert psi.weighted.shape[-1] == 0
 
     def test_hand_projection(self):
         psi = precision_matrix(_lrvs([1.0, 1.0]), np.array([[1.0], [1.0]]))
-        assert np.allclose(psi.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+        assert np.allclose(dense_operator(psi), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_annihilates_loadings(self):
         _, _, fit, lrvs = _random_pipeline(1)
         psi = precision_matrix(lrvs, fit.loadings_hat)
-        assert np.abs(psi.matrix @ fit.loadings_hat).max() < 1e-9
+        assert np.abs(dense_operator(psi) @ fit.loadings_hat).max() < 1e-9
 
     def test_symmetric_psd_rank(self):
         _, _, fit, lrvs = _random_pipeline(2, n=10, k=3)
         psi = precision_matrix(lrvs, fit.loadings_hat)
-        assert np.abs(psi.matrix - psi.matrix.T).max() < 1e-10
-        eigs = np.linalg.eigvalsh(psi.matrix)
+        assert np.abs(dense_operator(psi) - dense_operator(psi).T).max() < 1e-10
+        eigs = np.linalg.eigvalsh(dense_operator(psi))
         assert eigs.min() > -1e-10
         assert np.sum(eigs > 1e-10 * eigs.max()) == 10 - 3
 
@@ -115,8 +116,8 @@ class TestPrecisionOperator:
         psi = PrecisionMatrix(inv, lam, prior)
         scale = np.abs(dense).max() * np.abs(x).max() * x.shape[0]
         _close(psi.apply(x), dense @ x, scale)
-        _close(psi.matrix, dense, np.abs(dense).max())
-        assert psi.k == lam.shape[1]
+        _close(dense_operator(psi), dense, np.abs(dense).max())
+        assert psi.weighted.shape[-1] == lam.shape[1]
 
     @given(_factor_designs(), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -319,7 +320,7 @@ class TestMpTests:
     def test_projection_kills_loadings(self):
         lam = np.array([[1.0], [1.0]])
         q = PrecisionMatrix(np.ones(2), lam)
-        assert np.allclose(q.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
+        assert np.allclose(dense_operator(q), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
         assert np.abs(q.apply(lam)).max() < 1e-14
 
     def test_similar_to_bn_under_null(self):
@@ -361,7 +362,7 @@ class TestInvarianceSuites:
         rotated = fit.loadings_hat @ rotation
         psi_a = precision_matrix(lrvs, fit.loadings_hat)
         psi_b = precision_matrix(lrvs, rotated)
-        assert np.abs(psi_a.matrix - psi_b.matrix).max() < 1e-8
+        assert np.abs(dense_operator(psi_a) - dense_operator(psi_b)).max() < 1e-8
         for make in (t_ump, t_ump_emp):
             assert make(ump_statistics(d, psi_b, lrvs)).statistic == pytest.approx(
                 make(ump_statistics(d, psi_a, lrvs)).statistic, abs=1e-8)
@@ -723,6 +724,22 @@ class TestScaleInvariance:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="t_ump statistic is inf, not finite"):
                 analyze(Panel(1e153 * values), k=k)
+
+    @pytest.mark.parametrize("exponent, advice", [
+        (260, "p_a statistic is nan, not finite; rescale the panel if its values are very "
+              "large or very small"),
+        (-260, "t_a statistic is nan, not finite; rescale the panel if its values are very "
+               "large or very small"),
+        (-280, "pooled fourth moment underflowed to zero; rescale the panel if its values "
+               "are very small"),
+    ])
+    def test_scale_advice_names_the_direction(self, exponent, advice):
+        # A tiny panel fails too: at 2^-260 a statistic is nan, and at 2^-280 the
+        # pooled fourth moment, a mean of omega^4, underflows to zero.
+        values = np.random.default_rng(0).standard_normal((20, 60)).cumsum(axis=1)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=advice):
+                analyze(Panel(np.ldexp(values, exponent)), k=1)
 
     def test_zero_residual_unit_is_a_numerical_error(self):
         # One unit and one factor: the fit absorbs the unit, whose residuals
