@@ -34,6 +34,7 @@ _KINDS = ("iid", "ar1", "ma1")
 _DISTRIBUTIONS = ("gaussian", "student_t5")
 # Unit-variance normalization for Student-t(5) draws (raw variance 5/3).
 _T5_SCALE = math.sqrt(3.0 / 5.0)
+_U_MAX = 1.8  # heterogeneous alternatives multiply h by U(0.2, _U_MAX) per unit
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,11 @@ class DgpConfig:
             raise DataError("need n >= 1 and T >= 2")
         if not self.h <= 0.0:
             raise DataError(f"local parameter h must be <= 0, got {self.h}")
+        # Below the bound the smallest root 1 + h u_max / (sqrt(n) T) is below -1.
+        u_max = _U_MAX if self.heterogeneous_alternatives else 1.0
+        if self.h < (bound := -2.0 * math.sqrt(self.n) * self.T / u_max):
+            raise DataError(f"local parameter h = {self.h} makes the design explosive: "
+                            f"need h >= {bound:.6g} (-2 sqrt(n) T / {u_max:g})")
         if self.K < 0:
             raise DataError(f"number of factors K must be >= 0, got {self.K}")
         if not 0.0 < self.lrv_ratio <= 1.0:
@@ -176,15 +182,15 @@ def _components(config: DgpConfig):
     unit_lrvs = config.idio_spec.target_lrv * lrv_draws
 
     if config.heterogeneous_alternatives:
-        u = stream(2).uniform(0.2, 1.8, size=n)
+        u = stream(2).uniform(0.2, _U_MAX, size=n)
     else:
         u = np.ones(n)
     rho_units = 1.0 + config.h * u / (math.sqrt(n) * T)
     return loadings, unit_lrvs, rho_units, stream(3), stream(4)
 
 
-def simulate_many(configs) -> list[SimulatedPanel]:
-    """Simulate panels of one length T; entry i equals `simulate(configs[i])` bit for bit.
+def _simulate(configs: list) -> tuple[np.ndarray, list]:
+    """The stacked levels (R x n x T) of configs of one shape, and their `_components`.
 
     Every row (K factors, then n units, config after config) draws T + 1
     unit-variance values into one buffer. The stationary innovations start
@@ -195,21 +201,21 @@ def simulate_many(configs) -> list[SimulatedPanel]:
     is elementwise, so stacking changes no bit; a row of another kind takes
     coefficient 0 (MA or AR part), which adds exact zeros.
     """
-    configs = list(configs)
-    T = configs[0].T
-    if any(c.T != T for c in configs):
-        raise DataError("simulate_many needs configs of one length T")
+    shapes = sorted({(c.n, c.T) for c in configs})
+    if len(shapes) > 1:
+        raise DataError(f"simulate_many needs configs of one shape (n, T), got {shapes}")
+    (n, T), = shapes
     parts = [_components(c) for c in configs]
-    rows = sum(c.K + c.n for c in configs)
+    rows = sum(c.K + n for c in configs)
     raw = np.empty((rows, T + 1))
     sig, theta, phi, rho = (np.zeros(rows) for _ in range(4))
     top = 0
     for c, (_, unit_lrvs, rho_units, rng_f, rng_eta) in zip(configs, parts):
         unit_scale = innovation_scale(replace(c.idio_spec, target_lrv=1.0))
-        rho_k = local_rho(c.n, T, c.h) if c.framework == "MP" else 1.0
+        rho_k = local_rho(n, T, c.h) if c.framework == "MP" else 1.0
         for count, spec, rng, scales, coefs in (
                 (c.K, c.factor_spec, rng_f, innovation_scale(c.factor_spec), rho_k),
-                (c.n, c.idio_spec, rng_eta, unit_scale * np.sqrt(unit_lrvs), rho_units)):
+                (n, c.idio_spec, rng_eta, unit_scale * np.sqrt(unit_lrvs), rho_units)):
             block = slice(top, top + count)
             top = block.stop
             _draw(rng, spec.distribution, raw[block])
@@ -228,18 +234,24 @@ def simulate_many(configs) -> list[SimulatedPanel]:
     del raw
     levels = ar_recursion(innov, rho)
 
-    sims = []
+    out = np.empty((len(configs), n, T))
     top = 0
-    for c, (loadings, unit_lrvs, rho_units, _, _) in zip(configs, parts):
+    for r, (c, (loadings, *_)) in enumerate(zip(configs, parts)):
         f_rows = slice(top, top + c.K)
-        top = f_rows.stop + c.n
+        top = f_rows.stop + n
         factors = innov[f_rows] if c.panic_stationary_factors else levels[f_rows]
-        z = loadings @ factors + levels[f_rows.stop:top]
-        sims.append(SimulatedPanel(panel=Panel(z), true_loadings=loadings,
-                                   true_lrvs=unit_lrvs, rho_used=rho_units))
-    return sims
+        out[r] = loadings @ factors + levels[f_rows.stop:top]
+    return out, parts
+
+
+def simulate_many(configs) -> np.ndarray:
+    """The levels of configs of one shape (n, T) as one R x n x T array, for a batch
+    of replications; entry i equals `simulate(configs[i]).panel.values` bit for bit."""
+    return _simulate(list(configs))[0]
 
 
 def simulate(config: DgpConfig) -> SimulatedPanel:
     """Simulate a panel; fully deterministic given the config (seed included)."""
-    return simulate_many([config])[0]
+    levels, [(loadings, unit_lrvs, rho_units, _, _)] = _simulate([config])
+    return SimulatedPanel(panel=Panel(levels[0]), true_loadings=loadings,
+                          true_lrvs=unit_lrvs, rho_used=rho_units)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage errors are handled by argparse,
-DataError (and plain ValueError) exit with 2, NumericalError (and numpy's
-LinAlgError) with 3.
+DataError (and plain ValueError, and an OSError on a path) exit with 2,
+NumericalError (and numpy's LinAlgError) with 3.
 """
 
 

@@ -17,19 +17,19 @@ has a fixed cost of a few milliseconds, so the fewest batches that fit the
 cap run fastest, and equal sizes keep the largest batch, and with it peak
 memory, small.
 
-A batch is simulated by one `dgp.simulate_many` call (one stacked set of
-recursions) and analyzed by one `statistics.analyze_many` call: the
-differencing, the factor fit and the six statistics run over the stacked
-R x n x T' panels (per factor count when k is selected), with one LRV pass
-over all their residuals; only the eigensolves of the fit and the factor
-selection run replication by replication. Every step is row-local, so a
-replication's result is bit-identical to running it alone: the batches,
-and the worker count that sets the tasks, change no result. Errors stay
-per replication: a batch that raises a DataError, NumericalError or
-LinAlgError is rerun one replication at a time, so a failing replication
-counts as one error in every stage, simulation included. Any other
-exception is a bug and stops the run: the tasks not yet started are
-cancelled, and the error is raised at once.
+A batch is one R x n x T levels array from simulation to analysis. One
+`dgp.simulate_many` call (one stacked set of recursions) writes it, and one
+`statistics.analyze_many` call analyzes it: the differencing, the factor fit
+and the six statistics run over the whole stack (per factor count when k is
+selected), with one LRV pass over all its residuals; only the eigensolves of
+the fit and the factor selection run replication by replication. Every step
+is row-local, so a replication's result is bit-identical to running it
+alone: the batches, and the worker count that sets the tasks, change no
+result. Errors stay per replication: a batch that raises a DataError,
+NumericalError or LinAlgError is rerun one replication at a time, so a
+failing replication counts as one error in every stage, simulation
+included. Any other exception is a bug and stops the run: the tasks not yet
+started are cancelled, and the error is raised at once.
 
 The pool workers persist across `run` calls: the first pooled run forks them,
 later runs at the same worker count reuse them, a run at another count
@@ -225,9 +225,9 @@ def _replications(exp: Experiment, cell: tuple, reps) -> list:
     time, so that only the faulty replications fail.
     """
     try:
-        configs = [_cell_config(exp, cell, rep) for rep in reps]
-        panels = [sim.panel for sim in simulate_many(configs)]
-        results = analyze_many(panels, k=exp.k if exp.k_known else None, k_max=exp.k_max,
+        levels = simulate_many([_cell_config(exp, cell, rep) for rep in reps])
+        results = analyze_many(levels, unit_ids=range(levels.shape[1]),
+                               k=exp.k if exp.k_known else None, k_max=exp.k_max,
                                lrv_cfg=exp.lrv_cfg, alpha=exp.alpha)
     except ANALYSIS_ERRORS as exc:
         if len(reps) == 1:

@@ -22,12 +22,13 @@ per-unit row dots plus K x T' projections.
 The operator and the statistics take optional leading axes: a stack of R
 panels of one shape (R x n x T) is one set of batched matmuls, row dots and
 per-panel reductions, and every step is per panel, so a panel's statistics
-have the same bits in any stack. `analyze_many` stacks the panels of a
-batch by shape and factor count for the differencing, the factor fit (only
-the eigensolves run panel by panel) and the six statistics, and makes one
-LRV pass per shape. A faulty panel makes the whole batch raise; an LRV error
-numbers units across the stacked rows of its shape. `analyze_many` runs at
-one thread per OpenBLAS and restores the caller's counts (see `_blas`).
+have the same bits in any stack. A batch is one R x n x T levels array:
+`analyze_many` differences and fits it as one stack (only the eigensolves
+run panel by panel), makes one LRV pass over all its residual rows, and runs
+the six statistics once per selected factor count. A faulty panel makes the
+whole batch raise; an LRV error numbers units across the stacked rows of the
+batch. `analyze_many` runs at one thread per OpenBLAS and restores the
+caller's counts (see `_blas`).
 """
 
 from __future__ import annotations
@@ -314,75 +315,59 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
     finite, such as one so large in scale that its pooled sums overflow. An
     alpha outside (0, 1) is rejected before any work.
     """
-    return analyze_many([panel], k=k, k_max=k_max, lrv_cfg=lrv_cfg, alpha=alpha)[0]
+    return analyze_many(panel.values[None], panel.unit_ids, k=k, k_max=k_max,
+                        lrv_cfg=lrv_cfg, alpha=alpha)[0]
 
 
 # What a degenerate panel raises; anything else is a bug.
 ANALYSIS_ERRORS = (DataError, NumericalError, np.linalg.LinAlgError)
 
 
-def analyze_many(panels, k: int | None = None, k_max: int = 6,
+def analyze_many(levels: np.ndarray, unit_ids, k: int | None = None, k_max: int = 6,
                  lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> list[Analysis]:
-    """`analyze` over a batch of panels, stacked by shape and factor count.
+    """`analyze` over a batch of R panels of one shape, levels R x n x T.
 
-    Entry i is panel i's Analysis. Panels of one shape are differenced and
-    fitted as one stack (`factors.fit_stack`) and share one `estimate_lrv_set`
-    call over all their residual rows; the panels of one shape and factor
-    count share one pass over the six statistics. Every step is per panel
-    (see `lrv`), so each panel's Analysis is bit-identical to its own
-    `analyze`. If a panel is faulty, the call raises the DataError,
-    NumericalError or LinAlgError its own `analyze` raises, except that an
-    LRV error numbers units across the stacked rows of the panel's shape.
+    Entry i is panel i's Analysis; unit_ids label the n units in error
+    messages. The batch is differenced and fitted as one stack
+    (`factors.fit_stack`) and makes one `estimate_lrv_set` call over all its
+    residual rows; the panels of one factor count share one pass over the
+    six statistics. Every step is per panel (see `lrv`), so each panel's
+    Analysis is bit-identical to its own `analyze`. If a panel is faulty,
+    the call raises the DataError, NumericalError or LinAlgError its own
+    `analyze` raises, except that an LRV error numbers units across the
+    stacked rows of the batch.
     """
     check_alpha(alpha)
-    shapes: dict = {}
-    for i, panel in enumerate(panels):
-        shapes.setdefault(panel.values.shape, []).append(i)
-    results = {}
-    with _one_blas_thread():
-        for (n, t), index in shapes.items():
-            stacks = _fit(panels, index, k, k_max)
-            # The stacked residual rows are a temporary, freed before the statistics run.
-            lrvs = estimate_lrv_set(
-                np.concatenate([fit[3] for *_, fit in stacks]).reshape(-1, t - 1), lrv_cfg)
-            per_panel = [a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)]
-            top = 0
-            for stack in stacks:
-                block = slice(top, top + len(stack[0]))
-                top = block.stop
-                part = LrvSet(*(a[block] for a in per_panel))
-                results.update(zip(stack[0], _tests(panels, *stack, part, alpha)))
-    return [results[i] for i in range(len(panels))]
-
-
-def _units(panel: Panel, mask: np.ndarray) -> str:
-    """The ids of the panel's units where mask is set, for an error message."""
-    return ", ".join(repr(panel.unit_ids[u]) for u in np.flatnonzero(mask))
-
-
-def _fit(panels, index: list, k: int | None, k_max: int) -> list[tuple]:
-    """The panels at index, all of one shape, fitted and stacked by factor count k.
-
-    Returns one (index, levels, diffs, k, fit) per factor count: the panels'
-    positions in `analyze_many`'s batch, their stacked levels and differences,
-    and the stacked loadings_bar, loadings_hat, factor_diffs and residuals.
-    The stacked residuals are frozen: each panel's FactorFit holds a view of them.
-    """
-    levels = np.stack([panels[i].values for i in index])
+    n, t = levels.shape[1:]
     diffs = np.diff(levels, axis=-1)
-    finite = np.isfinite(diffs).all(axis=(-2, -1))
+    if not np.isfinite(diffs).all():  # every level enters a difference
+        raise DataError("difference values contains non-finite entries")
     constant = ~diffs.any(axis=-1)
-    for r, i in enumerate(index):
-        if not finite[r]:
-            raise DataError("difference values contains non-finite entries")
-        if constant[r].any():
-            raise DataError(f"constant unit(s) {_units(panels[i], constant[r])}: all first "
-                            "differences are zero, so the long-run variance is zero")
-    stacks = []
-    for kr, (rows, *fit) in fit_stack(diffs, k, k_bound(*diffs.shape[1:], k_max)).items():
-        fit[3].flags.writeable = False
-        stacks.append((tuple(index[r] for r in rows), levels[rows], diffs[rows], kr, tuple(fit)))
-    return stacks
+    if constant.any():
+        r = np.flatnonzero(constant.any(axis=-1))[0]
+        raise DataError(f"constant unit(s) {_units(unit_ids, constant[r])}: all first "
+                        "differences are zero, so the long-run variance is zero")
+    results = [None] * len(levels)
+    with _one_blas_thread():
+        fits = fit_stack(diffs, k, k_bound(n, t - 1, k_max))
+        # The stacked residual rows are a temporary, freed before the statistics run.
+        lrvs = estimate_lrv_set(
+            np.concatenate([fit[4] for fit in fits.values()]).reshape(-1, t - 1), lrv_cfg)
+        per_panel = [a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)]
+        top = 0
+        for kr, (rows, *fit) in fits.items():
+            fit[3].flags.writeable = False   # each panel's FactorFit holds a view
+            part = LrvSet(*(a[top:top + len(rows)] for a in per_panel))
+            top += len(rows)
+            analyses = _tests(unit_ids, levels[rows], diffs[rows], kr, fit, part, alpha)
+            for r, analysis in zip(rows, analyses):
+                results[r] = analysis
+    return results
+
+
+def _units(unit_ids, mask: np.ndarray) -> str:
+    """The ids of the units where mask is set, for an error message."""
+    return ", ".join(repr(unit_ids[u]) for u in np.flatnonzero(mask))
 
 
 def k_bound(n: int, tp: int, k_max: int) -> int:
@@ -390,14 +375,15 @@ def k_bound(n: int, tp: int, k_max: int) -> int:
     return min(k_max, min(n, tp) // 2)
 
 
-def _tests(panels, index: tuple, levels: np.ndarray, diffs: np.ndarray, k: int, fit: tuple,
+def _tests(unit_ids, levels: np.ndarray, diffs: np.ndarray, k: int, fit: list,
            lrvs: LrvSet, alpha: float) -> list[Analysis]:
-    """Each stacked panel's Analysis, from one `_fit` stack and its LRVs."""
+    """Each stacked panel's Analysis, from the panels of one factor count k: their
+    levels, differences, `fit_stack` arrays and LRVs."""
     loadings_bar, loadings_hat, factor_diffs, resid = fit
     zero = lrvs.gamma0 == 0.0
     if zero.any():
         r = np.flatnonzero(zero.any(axis=-1))[0]
-        raise NumericalError(f"LRV: unit(s) {_units(panels[index[r]], zero[r])} have all-zero "
+        raise NumericalError(f"LRV: unit(s) {_units(unit_ids, zero[r])} have all-zero "
                              "factor residuals, so gamma(0) and the long-run variance are zero")
     ump = ump_statistics(diffs, precision_matrix(lrvs, loadings_hat), lrvs)
     stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
@@ -418,4 +404,4 @@ def _tests(panels, index: tuple, levels: np.ndarray, diffs: np.ndarray, k: int, 
                                           j_hat=float(ump.j_hat[r]),
                                           correction=float(ump.correction[r])),
                      outcomes=dict(zip(TEST_NAMES, outcomes[r])))
-            for r in range(len(index))]
+            for r in range(len(levels))]

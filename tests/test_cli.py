@@ -5,6 +5,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -500,6 +502,18 @@ class TestEnvelopeCommand:
 
 
 class TestMcCommand:
+    def test_explosive_grid_rejected(self, tmp_path, capsys):
+        # At n = 1, T = 300 with heterogeneous alternatives h must be >= -333.3.
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"sizes": [[1, 300]], "h_values": [0.0, -2100.0], "k": 0,
+                                   "heterogeneous_alternatives": True, "replications": 4}))
+        out = tmp_path / "mc.csv"
+        assert main(["mc", str(cfg), str(out), "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "h = -2100.0 makes the design explosive: need h >= -333.333" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_smoke_grid(self, tmp_path):
         cfg = tmp_path / "mc.json"
         cfg.write_text(json.dumps({
@@ -701,6 +715,20 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["test", "/nonexistent/panel.csv"]) == 2
+
+    @pytest.mark.parametrize("argv", [["test", "{dir}"], ["mc", "{dir}", "{dir}/mc.csv"],
+                                      ["envelope", "{dir}"]], ids=["test", "mc", "envelope"])
+    def test_directory_path_is_a_data_error(self, tmp_path, argv):
+        # A path that is a directory cannot be read or written: exit 2, no traceback.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from panelur.cli import main; "
+                                   "sys.exit(main(sys.argv[1:]))",
+             *(arg.format(dir=tmp_path) for arg in argv)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

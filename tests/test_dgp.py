@@ -10,6 +10,7 @@ import pytest
 from panelur import (DataError, DgpConfig, DiffPanel, InnovationSpec, LrvConfig,
                      estimate_lrv_set, innovation_scale, local_rho,
                      lognormal_heterogeneity_params, simulate)
+from panelur import dgp
 from panelur.dgp import simulate_many
 
 
@@ -137,6 +138,24 @@ class TestSimulate:
         with pytest.raises(DataError):
             DgpConfig(framework="MP", n=5, T=20, panic_stationary_factors=True)
 
+    @pytest.mark.parametrize("n, T, het, bound", [
+        (1, 300, True, -2.0 * 300 / 1.8),   # -333.3
+        (4, 300, False, -1200.0),
+        (25, 100, True, -2.0 * 5 * 100 / 1.8),
+    ])
+    def test_explosive_design_rejected(self, n, T, het, bound):
+        # The smallest root 1 + h u_max / (sqrt(n) T) reaches -1 at the bound.
+        at_bound = _config(n=n, T=T, h=bound, heterogeneous_alternatives=het)
+        assert (1.0 + bound * (1.8 if het else 1.0) / (math.sqrt(n) * T)
+                == pytest.approx(-1.0, abs=1e-12))
+        assert np.isfinite(simulate(at_bound).panel.values).all()
+        past = math.nextafter(bound, -math.inf)
+        with pytest.raises(DataError, match=f"h = {past!r} makes the design explosive: "
+                                            f"need h >= {bound:.6g}"):
+            _config(n=n, T=T, h=past, heterogeneous_alternatives=het)
+        with pytest.raises(DataError, match="explosive"):
+            _config(n=n, T=T, h=-math.inf, heterogeneous_alternatives=het)
+
     @pytest.mark.parametrize("field", ["n", "T", "K", "seed"])
     @pytest.mark.parametrize("value", [20.5, 20.0, True, "20"])
     def test_integer_fields_must_be_integers(self, field, value):
@@ -216,8 +235,8 @@ def test_simulate_is_pinned_bit_for_bit(framework, kind, h, het, k, stationary,
 
 class TestSimulateMany:
     def test_equals_each_config_alone(self):
-        # One batch over both frameworks, all innovation kinds (the factor
-        # kind differing from the unit kind), K in {0, 2} and several n.
+        # One batch per n, each over both frameworks, all innovation kinds (the
+        # factor kind differing from the unit kind), K in {0, 2} and both laws.
         kinds = ("iid", "ar1", "ma1")
         configs = [
             DgpConfig(framework=fw, n=4 + i % 5, T=37, h=-6.0, K=k, lrv_ratio=0.7,
@@ -232,18 +251,27 @@ class TestSimulateMany:
                 (fw, kind, k, dist) for fw in ("MP", "PANIC") for kind in kinds
                 for k in (0, 2) for dist in ("gaussian", "student_t5"))
         ]
-        batch = simulate_many(configs)
-        assert len(batch) == len(configs)
-        for cfg, got in zip(configs, batch):
-            want = simulate(cfg)
-            assert np.array_equal(got.panel.values, want.panel.values)
-            assert np.array_equal(got.true_loadings, want.true_loadings)
-            assert np.array_equal(got.true_lrvs, want.true_lrvs)
-            assert np.array_equal(got.rho_used, want.rho_used)
+        by_shape = {}
+        for cfg in configs:
+            by_shape.setdefault(cfg.n, []).append(cfg)
+        assert len(by_shape) == 5
+        for stack in by_shape.values():
+            batch = simulate_many(stack)
+            levels, parts = dgp._simulate(stack)
+            assert batch.shape == (len(stack), stack[0].n, 37)
+            assert np.array_equal(levels, batch)
+            for cfg, got, (loadings, lrvs, rho, *_) in zip(stack, batch, parts):
+                want = simulate(cfg)
+                assert np.array_equal(got, want.panel.values)
+                assert np.array_equal(loadings, want.true_loadings)
+                assert np.array_equal(lrvs, want.true_lrvs)
+                assert np.array_equal(rho, want.rho_used)
 
     def test_one_length_required(self):
-        with pytest.raises(DataError, match="one length T"):
+        with pytest.raises(DataError, match=r"one shape \(n, T\), got \[\(10, 30\), \(10, 31\)\]"):
             simulate_many([_config(T=30), _config(T=31)])
+        with pytest.raises(DataError, match=r"one shape \(n, T\), got \[\(10, 30\), \(11, 30\)\]"):
+            simulate_many([_config(n=11, T=30), _config(T=30), _config(T=30, seed=1)])
 
 
 class TestLrvTargeting:

@@ -1,6 +1,5 @@
 """Monte Carlo harness: determinism, seeding, parallel equivalence, aggregation."""
 
-import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -123,18 +122,24 @@ def _overflowing(values):
     return 1e153 * values
 
 
+def _overflowing_levels(values):
+    # The last period's levels overflow to inf, as an explosive design's did.
+    values[:, -1] *= 1e200
+    values[:, -1] *= 1e200
+    return values
+
+
 def _break_replication(monkeypatch, exp, cell, rep, edit):
-    """Patches the simulator so that replication rep's panel is edit(its values)."""
+    """Patches the simulator so that replication rep's levels are edit(its levels)."""
     faulty_seed = _cell_config(exp, cell, rep).seed
     original = harness.simulate_many
 
     def breaking(configs):
-        sims = original(configs)
+        levels = original(configs)
         for i, cfg in enumerate(configs):
             if cfg.seed == faulty_seed:
-                values = edit(sims[i].panel.values.copy())
-                sims[i] = dataclasses.replace(sims[i], panel=Panel(values))
-        return sims
+                levels[i] = edit(levels[i].copy())
+        return levels
 
     monkeypatch.setattr(harness, "simulate_many", breaking)
 
@@ -199,25 +204,45 @@ class TestRun:
             assert row.errors == 1 and row.replications == 4
             assert round(row.rejection_rate * 4) == sum(f[row.test] for f in others)
 
-    def test_overflowing_simulation_is_one_error(self):
-        # At h = -2100 on one unit, some replications' levels overflow in the
-        # simulator. Each fails alone, so the counts do not depend on the batches
-        # that the worker count sets.
-        exp = Experiment(frameworks=("PANIC",), sizes=((1, 300),), k=0, h_values=(-2100.0,),
-                         heterogeneous_alternatives=True, replications=60, base_seed=3)
+    @pytest.mark.usefixtures("own_pool")
+    def test_overflowing_simulation_is_one_error(self, monkeypatch):
+        # Replication 17's levels overflow in the simulator (DgpConfig rejects the
+        # explosive designs that did so). It fails alone, so the counts do not
+        # depend on the batches that the worker count sets. The pool forks after
+        # the patch, so its workers run the patched simulator too.
+        exp = _experiment(replications=30, k=0, tests=TEST_NAMES)
         cell = exp.cells()[0]
+        _break_replication(monkeypatch, exp, cell, 17, _overflowing_levels)
         alone = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for rep in range(60):
+            for rep in range(30):
                 try:
                     alone.append(run_single(exp, cell, rep))
                 except statistics.ANALYSIS_ERRORS as exc:
                     alone.append(type(exc))
-            batch = harness._replications(exp, cell, range(60))
+            batch = harness._replications(exp, cell, range(30))
             counts = {workers: {(row.errors, row.replications) for row in run(exp, workers)}
                       for workers in (1, 2)}
+        assert alone[17] is DataError
         assert [r if isinstance(r, dict) else type(r) for r in batch] == alone
-        assert counts == {1: {(49, 11)}, 2: {(49, 11)}}
+        assert counts == {1: {(1, 29)}, 2: {(1, 29)}}
+
+    def test_batch_constructs_no_panel(self, monkeypatch):
+        # A batch is one R x n x T levels array from the simulator to the statistics.
+        shapes = []
+        original = Panel.__post_init__
+
+        def counting(panel):
+            shapes.append(panel.values.shape)
+            original(panel)
+
+        monkeypatch.setattr(Panel, "__post_init__", counting)
+        exp = _experiment(sizes=((50, 100),), replications=13, lrv_cfg=LrvConfig())
+        cell = exp.cells()[0]
+        harness._replications(exp, cell, range(13))
+        assert shapes == []
+        simulate(_cell_config(exp, cell, 0))   # the counter sees the public path's Panel
+        assert shapes == [(50, 100)]
 
     def test_only_a_failing_batch_is_rerun(self, monkeypatch):
         exp = _experiment(replications=5, k=0, lrv_cfg=LrvConfig(prewhiten=True))
@@ -353,6 +378,8 @@ class TestRun:
         (dict(h_values=(0.0, 0.0)), "grid 'h_values' repeats 0.0"),
         (dict(h_values=(0.0, -0.0)), "grid 'h_values' repeats -0.0"),
         (dict(tests=("p_b", "t_ump", "p_b")), "grid 'tests' repeats 'p_b'"),
+        (dict(sizes=((1, 300),), h_values=(0.0, -2100.0), heterogeneous_alternatives=True),
+         r"h = -2100.0 makes the design explosive: need h >= -333.333"),
     ])
     def test_invalid_cell_fails_at_construction(self, grid, message):
         with pytest.raises(DataError, match=message):

@@ -434,6 +434,25 @@ def _batch_panels(kinds=("iid", "ar1", "ma1"), sizes=(12, 20, 7), t=60):
     return panels
 
 
+def _stack(panels):
+    """The levels of panels of one shape as one R x n x T batch."""
+    return np.stack([p.values for p in panels])
+
+
+def _analyze_by_shape(panels, **kwargs):
+    """`analyze_many` once per shape, over that shape's panels in their order;
+    entry i is panel i's Analysis."""
+    shapes = {}
+    for i, p in enumerate(panels):
+        shapes.setdefault(p.values.shape, []).append(i)
+    results = [None] * len(panels)
+    for index in shapes.values():
+        stack = [panels[i] for i in index]
+        for i, got in zip(index, analyze_many(_stack(stack), stack[0].unit_ids, **kwargs)):
+            results[i] = got
+    return results
+
+
 def _assert_same_analysis(got, want):
     assert got.k == want.k
     for field in ("omega2", "delta", "gamma0"):
@@ -453,14 +472,14 @@ class TestAnalyzeMany:
     ], ids=["bartlett-andrews", "qs-andrews", "bartlett-fixed24", "qs-fixed20",
             "bartlett-andrews-raw", "qs-andrews-raw"])
     def test_batch_equals_each_panel_alone(self, lrv_cfg):
-        # Mixed n, innovation kinds and persistence put rows with different
+        # In each n's stack, innovation kinds put rows with different
         # prewhitening models and truncation lags side by side in the stacked
         # LRV pass. Unprewhitened Andrews bandwidths differ most, so there a
         # row's weights are padded with the most zeros.
         panels = _batch_panels()
         alone = [analyze(p, k_max=4, lrv_cfg=lrv_cfg) for p in panels]
-        batched = analyze_many(panels, k_max=4, lrv_cfg=lrv_cfg)
-        reordered = analyze_many(panels[::-1], k_max=4, lrv_cfg=lrv_cfg)[::-1]
+        batched = _analyze_by_shape(panels, k_max=4, lrv_cfg=lrv_cfg)
+        reordered = _analyze_by_shape(panels[::-1], k_max=4, lrv_cfg=lrv_cfg)[::-1]
         for got, again, want in zip(batched, reordered, alone):
             _assert_same_analysis(got, want)
             _assert_same_analysis(again, want)
@@ -480,7 +499,7 @@ class TestAnalyzeMany:
         cfg = LrvConfig(prewhiten=True)
         # In a batch, the LRV stage numbers units across all the stacked rows.
         with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[13\]"):
-            analyze_many(panels, k=0, lrv_cfg=cfg)
+            analyze_many(_stack(panels), range(10), k=0, lrv_cfg=cfg)
         with pytest.raises(NumericalError, match=r"LRV prewhitening.*unit\(s\) \[3\]"):
             analyze(panels[1], k=0, lrv_cfg=cfg)
 
@@ -491,7 +510,7 @@ class TestAnalyzeMany:
         panels.insert(0, Panel(values))
         for batch in (panels, panels[:1]):
             with pytest.raises(DataError, match=r"constant unit\(s\) 2"):
-                analyze_many(batch, k=1)
+                analyze_many(_stack(batch), range(8), k=1)
 
     def test_zero_information_fails_alone(self):
         # Every unit moves only in its first and last period: the running sums of
@@ -503,7 +522,7 @@ class TestAnalyzeMany:
         panels[1] = Panel(levels)
         cfg = LrvConfig(prewhiten=False)
         with pytest.raises(NumericalError, match="empirical information is zero"):
-            analyze_many(panels, k=0, lrv_cfg=cfg)
+            analyze_many(_stack(panels), range(10), k=0, lrv_cfg=cfg)
         with pytest.raises(NumericalError, match="empirical information is zero"):
             analyze(panels[1], k=0, lrv_cfg=cfg)
 
@@ -519,7 +538,7 @@ class TestAnalyzeMany:
 
         monkeypatch.setattr(statistics, "estimate_lrv_set", zero_unit)
         with pytest.raises(NumericalError) as excinfo:
-            analyze_many(panels, k=1)
+            analyze_many(_stack(panels), range(10), k=1)
         assert str(excinfo.value).startswith("LRV: unit(s) 3 have all-zero factor residuals")
 
     def test_singular_loading_gram_fails_alone(self, monkeypatch):
@@ -536,7 +555,7 @@ class TestAnalyzeMany:
         for batch in (panels, panels[1:2]):
             with pytest.raises(NumericalError,
                                match="singular 1 x 1 loading Gram matrix over 10 units"):
-                analyze_many(batch, k=1)
+                analyze_many(_stack(batch), range(10), k=1)
 
     def test_non_finite_residuals_fail_alone(self, monkeypatch):
         # A finite panel whose fit overflows fails the eigensolver first in every
@@ -552,7 +571,7 @@ class TestAnalyzeMany:
 
         monkeypatch.setattr(factors, "_eigen", nan_middle)
         with pytest.raises(DataError) as excinfo:
-            analyze_many(panels, k=1)
+            analyze_many(_stack(panels), range(10), k=1)
         assert str(excinfo.value) == "difference values contains non-finite entries"
 
     def test_non_finite_statistic_fails_alone(self):
@@ -562,7 +581,7 @@ class TestAnalyzeMany:
         with np.errstate(over="ignore", invalid="ignore"):
             for batch in (panels, panels[1:2]):
                 with pytest.raises(NumericalError, match="statistic is inf, not finite"):
-                    analyze_many(batch, k=1)
+                    analyze_many(_stack(batch), range(20), k=1)
 
 
 @functools.cache
@@ -581,12 +600,12 @@ class TestStackedProperty:
     @settings(max_examples=40, deadline=None)
     @given(picks=st.lists(st.integers(0, 9), min_size=1, max_size=14))
     def test_any_order_or_subset_matches_alone(self, picks):
-        # Panels are stacked by shape and selected k and their LRVs by length, so a
-        # draw changes each stack's size and order; repeats put a panel in a stack twice.
+        # Each shape is one batch, fitted and tested by selected k, so a draw
+        # changes each stack's size and order; repeats put a panel in a stack twice.
         panels, alone = _mixed_batch()
         stacks = {(a.k, p.values.shape) for a, p in zip(alone, panels)}
         assert len(stacks) == 9 and len({k for k, _ in stacks}) == 3
-        results = analyze_many([panels[i] for i in picks], k_max=3)
+        results = _analyze_by_shape([panels[i] for i in picks], k_max=3)
         for i, got in zip(picks, results):
             _assert_same_analysis(got, alone[i])
             assert all(np.array_equal(getattr(got.fit, f), getattr(alone[i].fit, f))
@@ -629,7 +648,7 @@ class TestKmaxClamp:
         with pytest.raises(DimensionError, match=f"k_max={k_max} outside 0..min"):
             analyze(panels[0], k_max=k_max)
         with pytest.raises(DimensionError) as excinfo:
-            analyze_many(panels, k_max=k_max)
+            analyze_many(_stack(panels), range(10), k_max=k_max)
         assert str(excinfo.value) == f"k_max={k_max} outside 0..min(n=10, T'=59)"
 
 
