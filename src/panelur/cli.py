@@ -13,11 +13,13 @@ import json
 import platform
 import sys
 import time
+from array import array
 from collections import defaultdict
 from dataclasses import MISSING, asdict, astuple, fields, is_dataclass, replace
 from functools import partial
+from math import isfinite
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import NoReturn, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -39,12 +41,14 @@ __all__ = ["main", "load_panel_csv", "write_panel_csv"]
 def load_panel_csv(path: str) -> Panel:
     """Read a long-format panel CSV and pivot it into a balanced Panel.
 
-    Blank rows are skipped and fields stripped. Units keep the order of their
-    first row; times are sorted, numerically where the labels are numbers. A
+    The file is UTF-8, with or without a byte-order mark. Blank rows are skipped
+    and fields stripped. Units keep the order of their first row; times are sorted,
+    finite numbers first and numerically, any other label after them as text. A
     faulty file, including one with a value that parses to nan or inf, raises
-    DataError naming the physical line on which its first faulty record starts.
-    A plain file (see _load_plain) is read in blocks; any other file, and any
-    fault, goes through the csv module.
+    DataError naming the physical line on which its first faulty record starts,
+    when that record is read. A plain file (see _load_plain) is read in blocks; any
+    other file, and any fault but a repeated cell or an unbalanced panel, goes
+    through the csv module.
     """
     panel = _load_plain(path)
     return panel if panel is not None else _load_any(path)
@@ -85,8 +89,10 @@ def _load_plain(path: str) -> Panel | None:
         return None
     unit_ids, unit_of = _label_codes(list(units))
     time_ids, time_of = _time_codes(path, list(times))
+    # A plain file has no blank lines and no record spanning lines.
     return _pivot(path, unit_ids, unit_of[np.concatenate(unit_codes)], time_ids,
-                  time_of[np.concatenate(time_codes)], np.concatenate(values))
+                  time_of[np.concatenate(time_codes)], np.concatenate(values),
+                  lambda row: row + 2)
 
 
 def _line_blocks(fh):
@@ -142,11 +148,17 @@ def _is_header(fields: list) -> bool:
 
 
 def _load_any(path: str) -> Panel:
-    """load_panel_csv through the csv module: quoted fields, any encoding and faults."""
+    """load_panel_csv through the csv module: quoted fields, non-ASCII text and faults.
+
+    The loop keeps the line on which each record starts. A faulty record raises
+    DataError at its start line as soon as it is read, after the rows before it
+    are checked for a repeated cell; the file is not read again.
+    """
     units: list = []
     times: list = []
     values: list = []
-    with open(path, newline="") as fh:
+    lines = array("q")  # the start line of each row kept
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -154,38 +166,42 @@ def _load_any(path: str) -> Panel:
             raise DataError(f"{path}:1: {exc}") from None
         if header is None or not _is_header(header):
             raise DataError(f"{path}: expected header 'unit,time,value'")
-        add_unit, add_time, add_value = units.append, times.append, values.append
+        add_unit, add_time, add_value, add_line = (
+            units.append, times.append, values.append, lines.append)
+        fail = partial(_raise_at, path, units, times, lines)
+        start = reader.line_num + 1
         try:
             for row in reader:
-                if len(row) != 3:
-                    if _is_blank(row):
-                        continue
-                    _raise_at(path, f"expected 3 fields, got {len(row)}", units, times, values)
-                unit, time_label, value = row
-                try:
-                    add_value(float(value))
-                except ValueError:
-                    try:  # str.strip() removes a few characters that float() rejects
-                        add_value(float(value.strip()))
+                if len(row) == 3:
+                    unit, time_label, value = row
+                    try:
+                        number = float(value)
                     except ValueError:
-                        _raise_at(path, f"non-numeric value {value.strip()!r}", units, times,
-                                  values)
-                add_unit(unit)
-                add_time(time_label)
+                        try:  # str.strip() removes a few characters that float() rejects
+                            number = float(value.strip())
+                        except ValueError:
+                            fail(start, f"non-numeric value {value.strip()!r}")
+                    if not isfinite(number):
+                        fail(start, f"non-finite value {value.strip()!r}")
+                    add_unit(unit)
+                    add_time(time_label)
+                    add_value(number)
+                    add_line(start)
+                elif not _is_blank(row):
+                    fail(start, f"expected 3 fields, got {len(row)}")
+                start = reader.line_num + 1
         except csv.Error as exc:
-            _raise_at(path, str(exc), units, times, values)
-    observed = np.array(values)
-    if not np.isfinite(observed).all():
-        _raise_at(path, None, units, times, observed)
-    return _pivot(path, *_label_codes(units), *_time_codes(path, times), observed)
+            fail(start, str(exc))
+    return _pivot(path, *_label_codes(units), *_time_codes(path, times), np.array(values),
+                  lines.__getitem__)
 
 
 def _pivot(path: str, unit_ids: tuple, unit_idx: np.ndarray, time_ids: tuple,
-           time_idx: np.ndarray, values: np.ndarray) -> Panel:
+           time_idx: np.ndarray, values: np.ndarray, line_of) -> Panel:
     """The Panel with values[r] in row (unit_idx[r], time_idx[r]). Raises DataError at
-    the first row, in file order, that repeats a cell, then if the panel is empty or
-    not balanced."""
-    _check_repeats(path, unit_ids, unit_idx, time_ids, time_idx)
+    line_of(r) for the first row r, in file order, that repeats a cell, then if the
+    panel is empty or not balanced."""
+    _check_repeats(path, unit_ids, unit_idx, time_ids, time_idx, line_of)
     if not values.size:
         raise DataError(f"{path}: no observations")
     if values.size != len(unit_ids) * len(time_ids):
@@ -202,50 +218,24 @@ def _is_blank(row: list) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _record(path: str, row: int) -> tuple[int, list]:
-    """The physical line on which the row-th (from 0) non-blank record after the header
-    starts, and its fields (None when the csv module cannot parse it). Called only on a
-    fault, so the loader's loop keeps no line numbers."""
-    record = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        start = reader.line_num + 1
-        try:
-            for record in reader:
-                if not _is_blank(record):
-                    if row == 0:
-                        break
-                    row -= 1
-                start = reader.line_num + 1
-        except csv.Error:  # the faulty record itself: start is its first line
-            record = None
-    return start, record
-
-
-def _raise_at(path: str, fault: str | None, units: list, times: list, values):
-    """Raise the first fault, in file order, of the rows read so far: a repeated cell or
-    a non-finite value. Without one, raise fault for the record after them."""
-    finite = np.isfinite(values)
-    row = len(units) if finite.all() else int(finite.argmin())
-    _check_repeats(path, *_label_codes(units[:row]),
-                   *_label_codes(times[:row], key=_label_key))
-    line, record = _record(path, row)
-    if row < len(units):
-        fault = f"non-finite value {record[2].strip()!r}"
+def _raise_at(path: str, units: list, times: list, lines, line: int, fault: str) -> NoReturn:
+    """Raise fault for the record that starts at line, unless a row read before it,
+    starting at lines[row], repeats a cell: that fault comes first in file order."""
+    _check_repeats(path, *_label_codes(units), *_label_codes(times), lines.__getitem__)
     raise DataError(f"{path}:{line}: {fault}")
 
 
 def _check_repeats(path: str, unit_ids: tuple, unit_idx: np.ndarray, time_ids: tuple,
-                   time_idx: np.ndarray) -> None:
-    """Raise DataError at the first row, in file order, that repeats a (unit, time) cell."""
+                   time_idx: np.ndarray, line_of) -> None:
+    """Raise DataError at line_of(row) for the first row, in file order, that repeats
+    a (unit, time) cell."""
     cells = unit_idx * len(time_ids) + time_idx
     order = np.argsort(cells, kind="stable")
     repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
     if repeats.size:
         row = int(repeats.min())
         key = (unit_ids[unit_idx[row]], time_ids[time_idx[row]])
-        raise DataError(f"{path}:{_record(path, row)[0]}: duplicate observation for {key}")
+        raise DataError(f"{path}:{line_of(row)}: duplicate observation for {key}")
 
 
 def _label_codes(raw: list, key=None) -> tuple[tuple, np.ndarray]:
@@ -271,10 +261,12 @@ def _time_codes(path: str, raw: list) -> tuple[tuple, np.ndarray]:
 
 
 def _label_key(label: str):
+    """Finite numbers first, in numeric order, then other labels (nan, inf) as text."""
     try:
-        return (0, float(label), "")
+        number = float(label)
     except ValueError:
         return (1, 0.0, label)
+    return (0, number, "") if isfinite(number) else (1, 0.0, label)
 
 
 def write_panel_csv(path: str, panel: Panel) -> None:

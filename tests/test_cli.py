@@ -1,6 +1,7 @@
 """Command-line interface: file formats, subcommands, exit codes."""
 
 import argparse
+import codecs
 import csv
 import json
 import os
@@ -64,7 +65,8 @@ def _outcome(load, path):
 # Labels and value spellings on which float(), str.strip(), the csv module and a plain
 # split could disagree: padding, numeric-looking labels, underscores, nan/inf spellings,
 # overflow, a separator that float() rejects but strip() removes, non-ASCII and quotes.
-_LABELS = ["a", " a", "a ", "b", "1", "01", "1.0", "10", "x\x1c"]
+# A file may also begin with a UTF-8 byte-order mark.
+_LABELS = ["a", " a", "a ", "b", "1", "01", "1.0", "10", "x\x1c", "nan", "NaN"]
 _ODD_LABELS = ["\u00e9", '"c"', '"d,e"']
 _ODD_VALUES = ["1_0", " 3.25 ", "\t-2\t", "nan", "inf", "-Infinity", "1e400", "\x1c1.5",
                "\u0663", '"4.0"', "oops", "", "0x10", "+.5"]
@@ -94,7 +96,7 @@ def _panel_files(draw):
                                    "unit,time,value,note", "unit,time"]))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join([header, *lines]) + (end if draw(st.booleans()) else "")
-    return text.encode("utf-8")
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode("utf-8")
 
 
 class TestPanelCsv:
@@ -252,6 +254,41 @@ class TestPanelCsv:
         for load in (load_panel_csv, cli._load_any) + (() if quote else (cli._load_plain,)):
             with pytest.raises(DataError, match="time labels '02' and '2' name the same period"):
                 load(str(path))
+
+    @pytest.mark.parametrize("times", [("2", "nan", "1"), ("nan", "1", "2")])
+    def test_nan_time_label_sorts_as_text(self, tmp_path, times):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,value\n" + "".join(f"u,{t},{i}\n" for i, t in enumerate(times)))
+        panel = load_panel_csv(str(path))
+        assert panel.time_ids == ("1", "2", "nan")
+        assert panel.values[0].tolist() == [float(times.index(t)) for t in panel.time_ids]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = b"unit,time,value\nA,1,1.0\nA,2,2.0\nB,1,3.0\nB,2,4.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        panel = load_panel_csv(str(marked))
+        assert panel.unit_ids == ("A", "B")
+        assert _outcome(load_panel_csv, str(marked)) == _outcome(load_panel_csv, str(plain))
+
+    @pytest.mark.parametrize("text, opens", [
+        ('unit,time,value\n"A",1,1.0\n"A",2,oops\n', 2),  # the plain attempt, the csv read
+        ("unit,time,value\nA,1,1.0\nA,1,2.0\n", 1),  # a plain file with a repeated cell
+    ], ids=["quoted_fault", "plain_duplicate"])
+    def test_faulty_file_not_read_again(self, tmp_path, monkeypatch, text, opens):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        with pytest.raises(DataError, match=":3: "):
+            load_panel_csv(str(path))
+        assert opened == [str(path)] * opens
 
     @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
