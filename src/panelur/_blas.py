@@ -1,13 +1,16 @@
 """OpenBLAS thread counts: every analysis runs at one thread per OpenBLAS.
 
-numpy's and scipy's wheels each bundle an OpenBLAS, and the factor fit calls
-scipy's LAPACK between numpy products: with several threads each, the idle
-threads of one pool spin against the other's work, and on after the call, and
-pool workers oversubscribe the cores. So `statistics.analyze_many`, which
-`analyze`, `panelur test` and the harness all run, holds every loaded OpenBLAS
-at one thread and restores the caller's counts on return, unless the user set
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. The counts belong to the process:
-analyses in several threads at once can leave them at one.
+The analysis path loads one OpenBLAS, numpy's: its eigensolves are numpy's
+too. With several threads, the idle threads of the pool busy-wait on after
+each call, and pool workers oversubscribe the cores. So
+`statistics.analyze_many`, which `analyze`, `panelur test` and the harness all
+run, holds every loaded OpenBLAS at one thread and restores the caller's
+counts on return, unless the user set OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS. The counts belong to the process: analyses in several
+threads at once can leave them at one. The libraries are looked up once per
+process (`_openblas_controls` is cached), so an OpenBLAS loaded after the
+first analysis, such as scipy's when code imports scipy.linalg, is not
+pinned.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .statistics import check_alpha
+from .statistics import _ndtr, _ndtri, check_alpha
 
 __all__ = [
     "FISHER_INFORMATION",
@@ -47,7 +46,7 @@ def _power(alpha: float, h_abs, ratio: float):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     if np.any(np.asarray(h_abs) < 0.0):
         raise ValueError("h_abs must be nonnegative")
-    return ndtr(ndtri(alpha) + ratio * h_abs / math.sqrt(2.0))
+    return _ndtr(_ndtri(alpha) + ratio * h_abs / math.sqrt(2.0))
 
 
 def power_envelope(alpha: float, h_abs: float) -> float:

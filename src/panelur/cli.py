@@ -8,7 +8,9 @@ balanced panel. Exit codes: 0 success, 1 usage, 2 data problems,
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import json
 import platform
 import sys
@@ -22,7 +24,6 @@ from types import NoneType, UnionType
 from typing import NoReturn, get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._blas import _pin_blas, blas_threads
@@ -46,9 +47,9 @@ def load_panel_csv(path: str) -> Panel:
     finite numbers first and numerically, any other label after them as text. A
     faulty file, including one with a value that parses to nan or inf, raises
     DataError naming the physical line on which its first faulty record starts,
-    when that record is read. A plain file (see _load_plain) is read in blocks; any
-    other file, and any fault but a repeated cell or an unbalanced panel, goes
-    through the csv module.
+    when that record is read; a byte that is not UTF-8 is named at its own line.
+    A plain file (see _load_plain) is read in blocks; any other file, and any
+    fault but a repeated cell or an unbalanced panel, goes through the csv module.
     """
     panel = _load_plain(path)
     return panel if panel is not None else _load_any(path)
@@ -109,6 +110,18 @@ def _line_blocks(fh):
         yield tail
 
 
+def _text_lines(fh):
+    """The rest of a binary file as lines of UTF-8 text, split as in text mode with
+    newline="": at LF, CR LF or a lone CR. A block that is not UTF-8 is decoded line by
+    line, so its UnicodeDecodeError comes when the faulty line is read."""
+    for block in _line_blocks(fh):
+        try:
+            lines = io.StringIO(block.decode(), newline="")
+        except UnicodeDecodeError:
+            lines = (line.decode() for line in block.splitlines(True))
+        yield from lines
+
+
 def _plain(raw: np.ndarray) -> bool:
     """Whether the bytes are ASCII without a quote or a carriage return outside CR LF."""
     cr = np.flatnonzero(raw == _CR)
@@ -158,12 +171,16 @@ def _load_any(path: str) -> Panel:
     times: list = []
     values: list = []
     lines = array("q")  # the start line of each row kept
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        if fh.read(3) != codecs.BOM_UTF8:
+            fh.seek(0)
+        reader = csv.reader(_text_lines(fh))
         try:
             header = next(reader, None)
         except csv.Error as exc:  # such as a field above csv.field_size_limit()
             raise DataError(f"{path}:1: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:{reader.line_num + 1}: {_not_utf8(exc)}") from None
         if header is None or not _is_header(header):
             raise DataError(f"{path}: expected header 'unit,time,value'")
         add_unit, add_time, add_value, add_line = (
@@ -192,8 +209,14 @@ def _load_any(path: str) -> Panel:
                 start = reader.line_num + 1
         except csv.Error as exc:
             fail(start, str(exc))
+        except UnicodeDecodeError as exc:
+            fail(reader.line_num + 1, _not_utf8(exc))
     return _pivot(path, *_label_codes(units), *_time_codes(path, times), np.array(values),
                   lines.__getitem__)
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
 
 
 def _pivot(path: str, unit_ids: tuple, unit_idx: np.ndarray, time_ids: tuple,
@@ -423,10 +446,11 @@ def _cmd_mc(args) -> int:
     rows = run(exp, workers=args.workers)
     wall_s = time.perf_counter() - start
     _write_csv(args.out, RESULT_COLUMNS, map(astuple, rows))
+    from importlib.metadata import version  # at module level it slows every command
     manifest = {
         "experiment": asdict(exp),
         "versions": {"panelur": __version__, "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__, "scipy": version("scipy")},
         **plan_summary(exp, args.workers),
         "blas_threads_per_process": blas_threads(),
         "wall_s": wall_s,

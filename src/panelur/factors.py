@@ -5,25 +5,26 @@ T' x n matrix X. Loadings are the leading eigenvectors of S = X'X / (n T'),
 taken from whichever Gram matrix is smaller: S itself when n <= T', else
 XX' / (n T') (the dual principal components of Bai and Ng), whose
 eigenvectors u map back to X'u / |X'u|. Forming the Gram matrix costs
-O(n T' min(n, T')), and no n x n array is formed when n > T'. Its reduction
-to tridiagonal form costs O(m^3), m = min(n, T'); the fit then computes only
-its k leading eigenpairs and back-transforms only those k vectors, where a
-full eigendecomposition would take all m. Selection needs eigenvalues only.
+O(n T' min(n, T')), and no n x n array is formed when n > T'. With k known,
+the k leading eigenpairs come from orthogonal iteration, O(m^2 k) a step for
+m = min(n, T'), and only the panels it leaves unresolved pay for a full
+eigendecomposition, O(m^3). Selection takes every eigenpair from one full
+eigendecomposition: its eigenvalues give IC_p2, its leading vectors the fit.
 
 `fit_stack` fits a stack of panels of one shape, R x n x T' unit-major: the
-Gram products, the back-transform and the residuals are batched matmuls
-over the stack, and only the eigensolves run panel by panel. Selection
-reads the eigenvalues of the Gram matrix the fit then solves for vectors.
-`estimate_factors` and `select_num_factors` are its one-panel case (R = 1),
-and every step is per panel, so a panel's fit has the same bits in any stack.
+Gram products, the eigensolves, the back-transform and the residuals are
+batched over the stack, and only IC_p2 loops over panels. `estimate_factors`
+and `select_num_factors` are its one-panel case (R = 1), and every step is
+per panel, so a panel's fit has the same bits in any stack. Every solve is
+numpy's, so the analysis loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DataError, DimensionError, NumericalError
 from .panel import DiffPanel
@@ -78,7 +79,8 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     `estimate_factors` guards: beyond it V(k) is rounding noise, whose log would win.
     """
     x = d.values[None]
-    return _select(_second_moments(x)[0], _mean_squares(x)[0], *x.shape[1:], k_max)
+    eigvals = _eigen(_second_moments(x), *x.shape[1:])[0][0] if k_max > 0 else None
+    return _select(eigvals, _mean_squares(x)[0], *x.shape[1:], k_max)
 
 
 def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> dict:
@@ -93,21 +95,25 @@ def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> dict:
     """
     n, tp = x.shape[1:]
     grams = _second_moments(x)
-    totals = _mean_squares(x) if k is None else None
+    if k is None:
+        eigvals, eigvecs = _eigen(grams, n, tp) if k_max > 0 else ([None] * len(x), None)
+        picks = [_select(vals, total, n, tp, k_max)
+                 for vals, total in zip(eigvals, _mean_squares(x))]
+    else:
+        if k < 0 or k > min(n, tp):
+            raise DimensionError(f"k={k} outside 0..min(n={n}, T'={tp})")
+        eigvecs = _eigen(grams, n, tp, k)[1] if k else None
+        picks = [k] * len(x)
     chosen: dict = {}
-    for r, gram in enumerate(grams):
-        kr = k if k is not None else _select(gram, totals[r], n, tp, k_max)
-        if kr < 0 or kr > min(n, tp):
-            raise DimensionError(f"k={kr} outside 0..min(n={n}, T'={tp})")
-        chosen.setdefault(kr, []).append((r, _eigen(gram, n, tp, kr)[1] if kr else None))
+    for r, kr in enumerate(picks):
+        chosen.setdefault(kr, []).append(r)
     fits = {}
-    for kr, picked in chosen.items():
-        rows = [r for r, _ in picked]
+    for kr, rows in chosen.items():
         if kr == 0:
             empty = np.zeros((len(rows), n, 0))
             fit = (empty, empty, np.zeros((len(rows), tp, 0)), x[rows])
         else:
-            fit = _fit_arrays(x[rows], np.stack([v for _, v in picked]))
+            fit = _fit_arrays(x[rows], np.ascontiguousarray(eigvecs[rows, :, :kr]))
         if not np.isfinite(fit[3]).all():
             raise DataError("difference values contains non-finite entries")
         fits[kr] = (rows, *fit)
@@ -127,8 +133,9 @@ def _mean_squares(x: np.ndarray) -> np.ndarray:
     return np.mean(x * x, axis=(-2, -1))
 
 
-def _select(gram: np.ndarray, total: float, n: int, tp: int, k_max: int) -> int:
-    """IC_p2's factor count for one panel from its Gram matrix and V(0) = total."""
+def _select(eigvals: np.ndarray | None, total: float, n: int, tp: int, k_max: int) -> int:
+    """IC_p2's factor count for one panel from its Gram matrix's eigenvalues in
+    descending order (None when k_max is 0) and V(0) = total."""
     if k_max < 0 or k_max > min(n, tp):
         raise DimensionError(f"k_max={k_max} outside 0..min(n={n}, T'={tp})")
     if total <= 0.0:
@@ -138,7 +145,7 @@ def _select(gram: np.ndarray, total: float, n: int, tp: int, k_max: int) -> int:
     if k_max == 0:
         return best_k
     # V(k) = V(0) - sum of the k largest eigenvalues of X'X / (n T').
-    eigvals = _eigen(gram, n, tp)[0][:k_max]
+    eigvals = eigvals[:k_max]
     rank = int(np.count_nonzero(eigvals > _rank_tolerance(n, tp, eigvals[0])))
     running = float(total)
     for k in range(1, rank + 1):
@@ -150,33 +157,85 @@ def _select(gram: np.ndarray, total: float, n: int, tp: int, k_max: int) -> int:
     return best_k
 
 
-def _eigen(gram: np.ndarray, n: int, tp: int, k: int | None = None):
-    """Eigenvalues of one panel's Gram matrix in descending order: all of them when k
-    is None, else the k largest with their unit eigenvectors (m x k, C-ordered).
+# Orthogonal iteration takes a fixed number of steps, so that a panel's vectors do not
+# depend on its batch-mates. In the acceptance cell (lambda_2 / lambda_1 <= 0.09) 14
+# steps pass the residual test, with residuals of about 0.02 m eps lambda_1.
+_STEPS = 20
 
-    LAPACK's ?syevr computes only the k leading eigenpairs, and a k above the rank
-    raises NumericalError. For the eigenvalues alone it computes the whole spectrum
-    without vectors: for the k_max = 6 that selection uses, bisection for the k
-    largest eigenvalues alone takes longer than the root-free QR for all of them.
+
+def _eigen(grams: np.ndarray, n: int, tp: int, k: int | None = None):
+    """Eigenpairs of each Gram matrix in the stack grams (..., m, m), in descending
+    order: all of them when k is None, else the k largest, (..., k) values and
+    (..., m, k) unit vectors. A k above a panel's rank raises NumericalError.
+
+    All pairs come from one batched `np.linalg.eigh`, which selection needs for its
+    eigenvalues anyway. The k leading pairs come from orthogonal iteration (Golub
+    and Van Loan, Matrix Computations, 4th ed., 8.2), power iteration when k = 1:
+    _STEPS products with each Gram from one fixed start, a Rayleigh-Ritz step, and
+    `np.linalg.eigh` for the panels whose Ritz pairs miss
+    |G v - lambda v| <= m eps lambda_1. Each Gram is first scaled by the power of
+    two that brings its largest diagonal entry into [1/2, 1), an exact step that
+    keeps the products from overflowing or underflowing. The iteration converges
+    as (lambda_{k+1} / lambda_k)^_STEPS.
     """
-    m = gram.shape[0]
     if k is None:
-        eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, compute_v=0, lower=1)
-    else:
-        eigvals, eigvecs, _, _, info = lapack.dsyevr(gram, range="I", lower=1,
-                                                     il=m - k + 1, iu=m)
-    if info != 0:
-        raise NumericalError(f"factor fit: the eigensolver failed on the {m} x {m} "
-                             f"second-moment matrix (LAPACK ?syevr info={info})")
-    if k is None:
-        return eigvals[::-1], None
-    eigvals = eigvals[k - 1::-1]
-    if eigvals[k - 1] <= _rank_tolerance(n, tp, eigvals[0]):
+        eigvals, eigvecs = _eigh(grams)
+        return eigvals[..., ::-1], eigvecs[..., ::-1]
+    m = grams.shape[-1]
+    exponent = np.frexp(np.max(np.diagonal(grams, axis1=-2, axis2=-1), axis=-1))[1]
+    scaled = np.ldexp(grams, -exponent[..., None, None])
+    with np.errstate(all="ignore"):  # a non-finite Gram fails the test below
+        q = _start(m, k)
+        for _ in range(_STEPS):
+            # Scaling keeps lambda_1 in [1/2, m], so k = 1 needs no normalizing here.
+            q = scaled @ q if k == 1 else np.linalg.qr(scaled @ q)[0]
+        if k == 1:
+            q = q / np.linalg.norm(q, axis=-2, keepdims=True)
+        gq = scaled @ q
+        ritz = np.swapaxes(q, -1, -2) @ gq
+        if k == 1:  # Rayleigh-Ritz is the Rayleigh quotient
+            ritz = ritz[..., 0]
+        else:
+            ritz, rotation = np.linalg.eigh(ritz)
+            ritz, rotation = ritz[..., ::-1], rotation[..., ::-1]
+            q, gq = q @ rotation, gq @ rotation
+        residual = np.linalg.norm(gq - q * ritz[..., None, :], axis=-2)
+        failed = ~np.all(residual <= m * np.finfo(float).eps * ritz[..., :1], axis=-1)
+    eigvals, eigvecs = np.ldexp(ritz, exponent[..., None]), q
+    if failed.any():
+        vals, vecs = _eigh(grams[failed])
+        eigvals[failed], eigvecs[failed] = vals[..., :-k - 1:-1], vecs[..., :-k - 1:-1]
+    short = eigvals[..., k - 1] <= _rank_tolerance(n, tp, eigvals[..., 0])
+    if short.any():
         raise NumericalError(
             f"factor fit: k={k} exceeds the rank of the differenced panel "
             f"(eigenvalue {k} is zero to working precision)"
         )
-    return eigvals, np.ascontiguousarray(eigvecs[:, ::-1])
+    return eigvals, eigvecs
+
+
+@functools.cache
+def _start(m: int, k: int) -> np.ndarray:
+    """The fixed m x k start of orthogonal iteration: Gaussian, so that no eigenvector
+    is orthogonal to it but by chance (an all-ones start misses loadings summing to 0)."""
+    start = np.random.default_rng(0).standard_normal((m, k))
+    start.flags.writeable = False
+    return start
+
+
+def _eigh(grams: np.ndarray):
+    """`np.linalg.eigh` over the stack grams, ascending; a failure, or a value that is
+    not finite, raises NumericalError."""
+    m = grams.shape[-1]
+    failure = NumericalError(f"factor fit: the eigensolver failed on the {m} x {m} "
+                             "second-moment matrix")
+    try:
+        eigvals, eigvecs = np.linalg.eigh(grams)
+    except np.linalg.LinAlgError as exc:
+        raise failure from exc
+    if not np.isfinite(eigvals).all():
+        raise failure
+    return eigvals, eigvecs
 
 
 def _fit_arrays(x: np.ndarray, vecs: np.ndarray) -> tuple:

@@ -21,8 +21,8 @@ A batch is one R x n x T levels array from simulation to analysis. One
 `dgp.simulate_many` call (one stacked set of recursions) writes it, and one
 `statistics.analyze_many` call analyzes it: the differencing, the factor fit
 and the six statistics run over the whole stack (per factor count when k is
-selected), with one LRV pass over all its residuals; only the eigensolves of
-the fit and the factor selection run replication by replication. Every step
+selected), with one LRV pass over all its residuals; only the factor selection's
+IC_p2 loop runs replication by replication. Every step
 is row-local, so a replication's result is bit-identical to running it
 alone: the batches, and the worker count that sets the tasks, change no
 result. Errors stay per replication: a batch that raises a DataError,

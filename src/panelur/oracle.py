@@ -14,9 +14,9 @@ covariance layout of the simulated design (one base covariance per size).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .dgp import InnovationSpec, innovation_scale, lognormal_heterogeneity_params
 from .panel import lagged_cumsum
@@ -34,6 +34,7 @@ def innovation_covariance(kind: str, parameter: float, t: int, target_lrv: float
     """T x T covariance of a stationary innovation series with the given long-run variance."""
     spec = InnovationSpec(kind=kind, parameter=parameter, target_lrv=target_lrv)
     sigma = innovation_scale(spec)
+    lags = np.arange(t)
     if kind == "iid":
         gamma = np.zeros(t)
         gamma[0] = sigma ** 2
@@ -43,9 +44,8 @@ def innovation_covariance(kind: str, parameter: float, t: int, target_lrv: float
         if t > 1:
             gamma[1] = sigma ** 2 * parameter
     else:
-        lags = np.arange(t)
         gamma = sigma ** 2 * parameter ** lags / (1.0 - parameter ** 2)
-    return toeplitz(gamma)
+    return gamma[np.abs(lags[:, None] - lags)]
 
 
 def _approx_lrv(sigma: np.ndarray) -> float:
@@ -100,25 +100,27 @@ class _ScaledCellSolver:
         self.scales = scales
         self.loadings = loadings
         self.k = loadings.shape[1]
-        self.chol0 = cho_factor(sigma0, lower=True)
+        # scipy is imported here, for the report alone: the analysis runs without it.
+        from scipy.linalg import cho_factor, cho_solve
+        self.solve0 = partial(cho_solve, cho_factor(sigma0, lower=True))
         self.lrv_eta = scales * _approx_lrv(sigma0)
         self.oslrv_eta = scales * _approx_oslrv(sigma0)
         self.lrv_f = np.full(self.k, _approx_lrv(sigma_f))
-        inv0 = cho_solve(self.chol0, np.eye(self.t))
+        inv0 = self.solve0(np.eye(self.t))
         inv_f = np.linalg.inv(sigma_f)
         a = (loadings.T / scales) @ loadings  # K x K of sum_i l_ki l_li / c_i
         inner = np.kron(np.eye(self.k), inv_f) + np.kron(a, inv0)
-        self.chol_inner = cho_factor(inner, lower=True)
+        self.solve_inner = partial(cho_solve, cho_factor(inner, lower=True))
 
     def _d_inv(self, x_mat: np.ndarray) -> np.ndarray:
         """blockdiag(c_i Sigma0)^{-1} applied to a T x n arrangement."""
-        return cho_solve(self.chol0, x_mat) / self.scales[None, :]
+        return self.solve0(x_mat) / self.scales[None, :]
 
     def _full_inv(self, x_mat: np.ndarray) -> np.ndarray:
         """Full-covariance inverse applied to a T x n arrangement."""
         base = self._d_inv(x_mat)
         u_proj = (base @ self.loadings).T.reshape(-1)  # stacked K blocks of length T
-        mid = cho_solve(self.chol_inner, u_proj).reshape(self.k, self.t)
+        mid = self.solve_inner(u_proj).reshape(self.k, self.t)
         return base - self._d_inv(mid.T @ self.loadings.T)
 
     def exact_pair(self, x: np.ndarray, full: bool) -> tuple[float, float]:

@@ -23,21 +23,24 @@ The operator and the statistics take optional leading axes: a stack of R
 panels of one shape (R x n x T) is one set of batched matmuls, row dots and
 per-panel reductions, and every step is per panel, so a panel's statistics
 have the same bits in any stack. A batch is one R x n x T levels array:
-`analyze_many` differences and fits it as one stack (only the eigensolves
-run panel by panel), makes one LRV pass over all its residual rows, and runs
-the six statistics once per selected factor count. A faulty panel makes the
-whole batch raise; an LRV error numbers units across the stacked rows of the
-batch. `analyze_many` runs at one thread per OpenBLAS and restores the
-caller's counts (see `_blas`).
+`analyze_many` differences and fits it as one stack (with batched numpy
+eigensolves, see `factors`), makes one LRV pass over all its residual rows,
+and runs the six statistics once per selected factor count. A faulty panel
+makes the whole batch raise; an LRV error numbers units across the stacked
+rows of the batch. `analyze_many` runs at one thread per OpenBLAS and
+restores the caller's counts (see `_blas`). The normal distribution function
+and quantile come from the standard library (`math.erfc`,
+`statistics.NormalDist`), so the analysis imports no scipy; `asymptotics`
+shares them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._blas import _one_blas_thread
 from .errors import DataError, DimensionError, NumericalError
@@ -60,6 +63,20 @@ __all__ = [
 ]
 
 TEST_NAMES = ("t_ump", "t_ump_emp", "p_a", "p_b", "t_a", "t_b")
+
+
+def _ndtr(x) -> np.ndarray:
+    """Phi(x) = erfc(-x / sqrt(2)) / 2, the standard normal distribution function,
+    elementwise over an array of any shape."""
+    x = np.asarray(x, dtype=float)
+    root2 = math.sqrt(2.0)
+    return np.array([0.5 * math.erfc(-v / root2) for v in x.ravel().tolist()],
+                    dtype=float).reshape(x.shape)
+
+
+def _ndtri(p: float) -> float:
+    """Phi^{-1}(p), the standard normal quantile, for p in (0, 1)."""
+    return NormalDist().inv_cdf(p)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,15 +170,15 @@ def _outcomes(names: tuple, statistics, alpha: float):
     """TestOutcomes of statistics laid out (..., len(names)).
 
     One panel's statistics give a tuple of outcomes in names order; a stack's
-    give a list of such tuples, one per panel. ndtr runs once over all of them.
+    give a list of such tuples, one per panel. _ndtr runs once over all of them.
     """
     check_alpha(alpha)
     stats = np.asarray(statistics, dtype=float)
     rows = stats.reshape(-1, len(names))
     per_panel = [tuple(TestOutcome(name=name, statistic=s, p_value=p, reject=r, alpha=alpha)
                        for name, s, p, r in zip(names, *row))
-                 for row in zip(rows.tolist(), ndtr(rows).tolist(),
-                                (rows <= ndtri(alpha)).tolist())]
+                 for row in zip(rows.tolist(), _ndtr(rows).tolist(),
+                                (rows <= _ndtri(alpha)).tolist())]
     return per_panel[0] if stats.ndim == 1 else per_panel
 
 

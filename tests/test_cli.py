@@ -3,6 +3,7 @@
 import argparse
 import codecs
 import csv
+import io
 import json
 import os
 import re
@@ -271,6 +272,41 @@ class TestPanelCsv:
         panel = load_panel_csv(str(marked))
         assert panel.unit_ids == ("A", "B")
         assert _outcome(load_panel_csv, str(marked)) == _outcome(load_panel_csv, str(plain))
+
+    def test_byte_not_utf8_reports_line(self, tmp_path, capsys):
+        # A Latin-1 label: 0xE9 is "\u00e9" there, and no UTF-8 sequence starts so.
+        path = tmp_path / "latin.csv"
+        path.write_bytes("unit,time,value\nA,1,1.0\ncaf\u00e9,1,2.0\n".encode("latin-1"))
+        with pytest.raises(DataError, match=":3: not UTF-8: byte 0xe9: invalid continuation"):
+            load_panel_csv(str(path))
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: not UTF-8: byte 0xe9: invalid continuation byte\n")
+
+    @pytest.mark.parametrize("rows, line, fault", [
+        (["A,2,oops", "caf\xe9,1,2.0"], 3, "non-numeric value 'oops'"),
+        (["A,1,2.0", "caf\xe9,1,2.0"], 3, "duplicate observation"),
+        (["caf\xe9,1,2.0", "A,2,oops"], 3, "not UTF-8: byte 0xe9"),
+        (['"a', 'caf\xe9",1,2.0'], 4, "not UTF-8: byte 0xe9"),
+    ], ids=["fault_first", "duplicate_first", "byte_first", "byte_in_multiline_record"])
+    @pytest.mark.parametrize("block_bytes", [None, 8])
+    def test_byte_not_utf8_in_file_order(self, tmp_path, monkeypatch, rows, line, fault,
+                                         block_bytes):
+        # The byte's line is read only after the lines before it, in any block size.
+        if block_bytes is not None:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\n".join(["unit,time,value", "A,1,1.0", *rows, ""]).encode("latin-1"))
+        with pytest.raises(DataError, match=f":{line}: {fault}"):
+            load_panel_csv(str(path))
+
+    @given(_panel_files(), st.sampled_from([cli._BLOCK_BYTES, 1, 7, 32]))
+    @settings(max_examples=100, deadline=None)
+    def test_text_lines_split_as_text_mode(self, content, block_bytes):
+        # The csv path decodes blocks itself; its lines are those of open(newline="").
+        with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+            lines = list(cli._text_lines(io.BytesIO(content)))
+        assert lines == list(io.TextIOWrapper(io.BytesIO(content), "utf-8", newline=""))
 
     @pytest.mark.parametrize("text, opens", [
         ('unit,time,value\n"A",1,1.0\n"A",2,oops\n', 2),  # the plain attempt, the csv read

@@ -1,12 +1,14 @@
 """Principal-components factor estimation and factor-count selection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 
 from panelur import DiffPanel, DimensionError, NumericalError, estimate_factors, select_num_factors
+from panelur import factors
 from panelur.factors import _eigen, _second_moments
 
 from oracles import factor_fit_dense
@@ -181,26 +183,86 @@ class TestRankGuard:
 
 
 class TestEigensolverFailure:
-    # Both problems go through LAPACK's ?syevr: the fit asks for eigenpairs (numpy's
-    # eigh problem), selection for eigenvalues only (eigvalsh).
+    # The ids name the problem each call poses: the fit's leading eigenpairs (a noise
+    # panel is too flat for orthogonal iteration, so they come from np.linalg.eigh)
+    # and selection's eigenvalues (read from one np.linalg.eigh).
     @pytest.mark.parametrize("problem, call", [
         ("eigh", lambda d: estimate_factors(d, 1)),
         ("eigvalsh", lambda d: select_num_factors(d, 2)),
     ])
     @pytest.mark.parametrize("n", [6, 40])   # the primal and the dual Gram matrix
     def test_linalg_error_is_a_numerical_error(self, monkeypatch, problem, call, n):
-        solve, requested = lapack.dsyevr, []
+        requested = []
 
-        def failing(a, compute_v=1, **kwargs):
-            requested.append(compute_v)
-            *out, _ = solve(a, compute_v=compute_v, **kwargs)
-            return (*out, 3)   # info > 0: the solver did not converge
+        def failing(a, *args, **kwargs):
+            requested.append(a.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(lapack, "dsyevr", failing)
-        with pytest.raises(NumericalError, match="factor fit: the eigensolver failed") as caught:
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        m = min(n, 20)
+        with pytest.raises(NumericalError) as caught:
             call(_random_diff(n, 20))
-        assert "info=3" in str(caught.value)
-        assert requested == [1 if problem == "eigh" else 0]
+        assert str(caught.value) == (f"factor fit: the eigensolver failed on the {m} x {m} "
+                                     "second-moment matrix")
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+        assert requested == [(1, m, m)]   # one stacked call over the one panel
+
+    def test_non_finite_gram_is_a_numerical_error(self):
+        # A Gram matrix that overflows: eigh returns nan rather than raising.
+        gram = np.full((1, 5, 5), np.inf)
+        for k in (None, 1, 2):
+            with pytest.raises(NumericalError, match="factor fit: the eigensolver failed "
+                                                     "on the 5 x 5 second-moment matrix"):
+                _eigen(gram, 5, 30, k)
+
+
+def _spectral_gram(rng, m, spectrum):
+    """Q diag(spectrum) Q' for a random m x len(spectrum) orthonormal Q, symmetrized."""
+    q = np.linalg.qr(rng.standard_normal((m, len(spectrum))))[0]
+    gram = (q * spectrum) @ q.T
+    return (gram + gram.T) / 2.0
+
+
+class TestOrthogonalIteration:
+    """The k leading eigenpairs with k known against numpy's full eigh."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 40), data=st.data())
+    def test_matches_eigh_on_low_rank_grams(self, m, data):
+        k = data.draw(st.integers(1, min(4, m - 1)))
+        rank = data.draw(st.integers(k + 1, m))
+        # A clear gap at k converges in the fixed steps; a near-degenerate one,
+        # lambda_{k+1} within 0.1 % to 10 % of lambda_k, must go to the fallback.
+        near = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lead = np.cumprod(np.r_[1.0, rng.uniform(0.4, 0.7, size=k - 1)])
+        below = lead[-1] * (1.0 - rng.uniform(1e-3, 0.1) if near else rng.uniform(0.0, 0.05))
+        spectrum = np.r_[lead, below, below * rng.uniform(0.0, 1.0, size=rank - k - 1)]
+        # Far from unit scale, the products would overflow or underflow unscaled.
+        scale = 2.0 ** data.draw(st.integers(-600, 600))
+        gram = scale * _spectral_gram(rng, m, spectrum)
+        want_vals, want_vecs = np.linalg.eigh(gram)
+        want_vals, want_vecs = want_vals[:-k - 1:-1], want_vecs[:, :-k - 1:-1]
+        with mock.patch.object(factors, "_eigh", wraps=factors._eigh) as full:
+            vals, vecs = _eigen(gram, m, m, k)
+        assert full.called == near
+        assert np.all(np.abs(vals - want_vals) <= 1e-12 * want_vals)
+        signs = np.sign(np.sum(vecs * want_vecs, axis=0))
+        assert np.abs(vecs * signs - want_vecs).max() <= 1e-10
+
+    def test_leading_vector_orthogonal_to_ones(self):
+        # Loadings that sum to zero: the leading eigenvector is nearly orthogonal to
+        # the all-ones vector, so a start along that vector would rest on the noise.
+        rng = np.random.default_rng(14)
+        loadings = np.tile([1.0, -1.0], 15)
+        d = DiffPanel(np.outer(loadings, rng.normal(size=80)) + 0.1 * rng.normal(size=(30, 80)))
+        with mock.patch.object(factors, "_eigh", wraps=factors._eigh) as full:
+            fit = estimate_factors(d, 1)
+        assert not full.called
+        ref = factor_fit_dense(d, 1)
+        assert abs(fit.loadings_bar[:, 0].sum()) < 0.1 * np.sqrt(30)
+        assert np.abs(fit.loadings_bar - ref.loadings_bar).max() <= 1e-10
+        assert np.abs(fit.residuals.values - ref.residuals.values).max() <= 1e-10
 
 
 @st.composite

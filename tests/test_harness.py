@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelur import (DataError, Experiment, LrvConfig, NumericalError, Panel, analyze, harness,
-                     power_figure_data, replication_seed, run, simulate, statistics)
+from panelur import (DataError, DgpConfig, Experiment, LrvConfig, NumericalError, Panel, analyze,
+                     harness, power_figure_data, replication_seed, run, simulate, statistics)
 from panelur import _blas
+from panelur.cli import write_panel_csv
 from panelur.harness import RESULT_COLUMNS, WORKERS_ENV_VAR, _cell_config, run_single
 from panelur.statistics import TEST_NAMES
 
@@ -568,10 +569,10 @@ class TestBlasThreads:
         assert len(run(_experiment(replications=2), workers=1)) == 3
 
 
-def _in_fresh_python(script: str) -> str:
+def _in_fresh_python(script: str, *args: str) -> str:
     """Standard output of `script` run by a fresh interpreter on this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-    done = subprocess.run([sys.executable, "-c", script],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True, timeout=120)
     return done.stdout
@@ -848,20 +849,29 @@ class TestPowerFigureData:
                 assert rec["rejection_rate"] <= rec["envelope"] + 3.0 * rec["mc_std_err"]
 
 
-def test_replication_does_not_import_scipy_signal():
+def test_replication_does_not_import_scipy_signal(tmp_path):
     # Importing scipy.signal after panelur adds about 43 MiB of resident
     # memory and over half a second to every process (2 vCPU x86_64 VM,
-    # scipy 1.17); the recursions stay in numpy.
+    # scipy 1.17); the recursions stay in numpy. scipy.linalg and scipy.special
+    # add 26 MiB and 0.2-0.3 s: the analysis paths import neither, and only
+    # the LAN report (`panelur selftest`) loads scipy.
+    csv_path = tmp_path / "panel.csv"
+    write_panel_csv(csv_path, simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1,
+                                                 seed=3)).panel)
     code = "\n".join([
         "import sys",
         "import panelur",
-        "from panelur import Experiment, LrvConfig, harness",
+        "from panelur import Experiment, LrvConfig, Panel, analyze, cli, harness",
         "exp = Experiment(frameworks=('MP',), sizes=((10, 60),), ratios=(0.8,),",
         "                 innovations=('ar1', 'ma1'), h_values=(-10.0,), k=1,",
         "                 k_known=False, heterogeneous_alternatives=True,",
         "                 lrv_cfg=LrvConfig(kernel='quadratic_spectral'))",
         "for cell in exp.cells():",
         "    harness.run_single(exp, cell, 0)",
-        "print('scipy.signal' in sys.modules)",
+        "harness.run(Experiment(sizes=((20, 50),), k=1, replications=1), workers=1)",
+        "analyze(cli.load_panel_csv(sys.argv[1]), k=2)",
+        "assert cli.main(['test', sys.argv[1], '--json']) == 0",
+        "print(sorted(name for name in ('scipy.signal', 'scipy.linalg', 'scipy.special')",
+        "             if name in sys.modules))",
     ])
-    assert _in_fresh_python(code).strip() == "False"
+    assert _in_fresh_python(code, str(csv_path)).splitlines()[-1] == "[]"

@@ -562,12 +562,12 @@ class TestAnalyzeMany:
         # case tried, so here the middle panel's eigenvectors are made nan.
         panels = _batch_panels(kinds=("iid",), sizes=(10, 10, 10))
         original = factors._eigen
-        calls = []
 
-        def nan_middle(gram, n, tp, k=None):
-            vals, vecs = original(gram, n, tp, k)
-            calls.append(k)
-            return vals, (np.full_like(vecs, np.nan) if len(calls) == 2 else vecs)
+        def nan_middle(grams, n, tp, k=None):
+            vals, vecs = original(grams, n, tp, k)
+            vecs = vecs.copy()
+            vecs[1] = np.nan   # one batched call: row 1 is the middle panel
+            return vals, vecs
 
         monkeypatch.setattr(factors, "_eigen", nan_middle)
         with pytest.raises(DataError) as excinfo:
