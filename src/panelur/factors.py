@@ -5,11 +5,12 @@ T' x n matrix X. Loadings are the leading eigenvectors of S = X'X / (n T'),
 taken from whichever Gram matrix is smaller: S itself when n <= T', else
 XX' / (n T') (the dual principal components of Bai and Ng), whose
 eigenvectors u map back to X'u / |X'u|. Forming the Gram matrix costs
-O(n T' min(n, T')), and no n x n array is formed when n > T'. With k known,
-the k leading eigenpairs come from orthogonal iteration, O(m^2 k) a step for
+O(n T' min(n, T')), and no n x n array is formed when n > T'. With one factor
+known, the leading eigenpair comes from power iteration, O(m^2) a step for
 m = min(n, T'), and only the panels it leaves unresolved pay for a full
-eigendecomposition, O(m^3). Selection takes every eigenpair from one full
-eigendecomposition: its eigenvalues give IC_p2, its leading vectors the fit.
+eigendecomposition, O(m^3). Any other known k takes its pairs from a full
+eigendecomposition, and so does selection: its eigenvalues give IC_p2, its
+leading vectors the fit. `select_num_factors` computes the eigenvalues alone.
 
 `fit_stack` fits a stack of panels of one shape, R x n x T' unit-major: the
 Gram products, the eigensolves, the back-transform and the residuals are
@@ -21,7 +22,6 @@ numpy's, so the analysis loads no scipy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +79,7 @@ def select_num_factors(d: DiffPanel, k_max: int) -> int:
     `estimate_factors` guards: beyond it V(k) is rounding noise, whose log would win.
     """
     x = d.values[None]
-    eigvals = _eigen(_second_moments(x), *x.shape[1:])[0][0] if k_max > 0 else None
+    eigvals = _eigh(_second_moments(x), vectors=False)[0][0] if k_max > 0 else None
     return _select(eigvals, _mean_squares(x)[0], *x.shape[1:], k_max)
 
 
@@ -96,7 +96,7 @@ def fit_stack(x: np.ndarray, k: int | None, k_max: int = 0) -> dict:
     n, tp = x.shape[1:]
     grams = _second_moments(x)
     if k is None:
-        eigvals, eigvecs = _eigen(grams, n, tp) if k_max > 0 else ([None] * len(x), None)
+        eigvals, eigvecs = _eigh(grams) if k_max > 0 else ([None] * len(x), None)
         picks = [_select(vals, total, n, tp, k_max)
                  for vals, total in zip(eigvals, _mean_squares(x))]
     else:
@@ -157,7 +157,7 @@ def _select(eigvals: np.ndarray | None, total: float, n: int, tp: int, k_max: in
     return best_k
 
 
-# Orthogonal iteration takes a fixed number of steps, so that a panel's vectors do not
+# Power iteration takes a fixed number of steps, so that a panel's vector does not
 # depend on its batch-mates. In the acceptance cell (lambda_2 / lambda_1 <= 0.09) 14
 # steps pass the residual test, with residuals of about 0.02 m eps lambda_1.
 _STEPS = 20
@@ -168,45 +168,37 @@ def _eigen(grams: np.ndarray, n: int, tp: int, k: int | None = None):
     order: all of them when k is None, else the k largest, (..., k) values and
     (..., m, k) unit vectors. A k above a panel's rank raises NumericalError.
 
-    All pairs come from one batched `np.linalg.eigh`, which selection needs for its
-    eigenvalues anyway. The k leading pairs come from orthogonal iteration (Golub
-    and Van Loan, Matrix Computations, 4th ed., 8.2), power iteration when k = 1:
-    _STEPS products with each Gram from one fixed start, a Rayleigh-Ritz step, and
-    `np.linalg.eigh` for the panels whose Ritz pairs miss
-    |G v - lambda v| <= m eps lambda_1. Each Gram is first scaled by the power of
-    two that brings its largest diagonal entry into [1/2, 1), an exact step that
-    keeps the products from overflowing or underflowing. The iteration converges
-    as (lambda_{k+1} / lambda_k)^_STEPS.
+    The pairs come from one batched `np.linalg.eigh`, but for k = 1, where power
+    iteration (Golub and Van Loan, Matrix Computations, 4th ed., 7.3.1) gives the
+    leading pair: _STEPS products with each Gram from one fixed start, a Rayleigh
+    quotient, and `np.linalg.eigh` for the panels whose pair misses
+    |G v - lambda v| <= m eps lambda. Each Gram is first scaled by the power of two
+    that brings its largest diagonal entry into [1/2, 1), an exact step that keeps
+    the products from overflowing or underflowing. The iteration converges as
+    (lambda_2 / lambda_1)^_STEPS.
     """
-    if k is None:
-        eigvals, eigvecs = _eigh(grams)
-        return eigvals[..., ::-1], eigvecs[..., ::-1]
-    m = grams.shape[-1]
-    exponent = np.frexp(np.max(np.diagonal(grams, axis1=-2, axis2=-1), axis=-1))[1]
-    scaled = np.ldexp(grams, -exponent[..., None, None])
-    with np.errstate(all="ignore"):  # a non-finite Gram fails the test below
-        q = _start(m, k)
-        for _ in range(_STEPS):
-            # Scaling keeps lambda_1 in [1/2, m], so k = 1 needs no normalizing here.
-            q = scaled @ q if k == 1 else np.linalg.qr(scaled @ q)[0]
-        if k == 1:
-            q = q / np.linalg.norm(q, axis=-2, keepdims=True)
-        gq = scaled @ q
-        ritz = np.swapaxes(q, -1, -2) @ gq
-        if k == 1:  # Rayleigh-Ritz is the Rayleigh quotient
-            ritz = ritz[..., 0]
-        else:
-            ritz, rotation = np.linalg.eigh(ritz)
-            ritz, rotation = ritz[..., ::-1], rotation[..., ::-1]
-            q, gq = q @ rotation, gq @ rotation
-        residual = np.linalg.norm(gq - q * ritz[..., None, :], axis=-2)
-        failed = ~np.all(residual <= m * np.finfo(float).eps * ritz[..., :1], axis=-1)
-    eigvals, eigvecs = np.ldexp(ritz, exponent[..., None]), q
-    if failed.any():
-        vals, vecs = _eigh(grams[failed])
-        eigvals[failed], eigvecs[failed] = vals[..., :-k - 1:-1], vecs[..., :-k - 1:-1]
-    short = eigvals[..., k - 1] <= _rank_tolerance(n, tp, eigvals[..., 0])
-    if short.any():
+    if k != 1:
+        eigvals, eigvecs = _eigh(grams, k)
+    else:
+        m = grams.shape[-1]
+        exponent = np.frexp(np.max(np.diagonal(grams, axis1=-2, axis2=-1), axis=-1))[1]
+        scaled = np.ldexp(grams, -exponent[..., None, None])
+        # A Gaussian start: no eigenvector is orthogonal to it but by chance, where
+        # an all-ones start would miss loadings that sum to zero.
+        v = np.random.default_rng(0).standard_normal((m, 1))
+        with np.errstate(all="ignore"):  # a non-finite Gram fails the test below
+            for _ in range(_STEPS):
+                # Scaling keeps lambda_1 in [1/2, m], so no step needs normalizing.
+                v = scaled @ v
+            v = v / np.linalg.norm(v, axis=-2, keepdims=True)
+            gv = scaled @ v
+            rayleigh = (np.swapaxes(v, -1, -2) @ gv)[..., 0]
+            residual = np.linalg.norm(gv - v * rayleigh[..., None, :], axis=-2)
+            failed = ~(residual <= m * np.finfo(float).eps * rayleigh)[..., 0]
+        eigvals, eigvecs = np.ldexp(rayleigh, exponent[..., None]), v
+        if failed.any():
+            eigvals[failed], eigvecs[failed] = _eigh(grams[failed], 1)
+    if k is not None and np.any(eigvals[..., k - 1] <= _rank_tolerance(n, tp, eigvals[..., 0])):
         raise NumericalError(
             f"factor fit: k={k} exceeds the rank of the differenced panel "
             f"(eigenvalue {k} is zero to working precision)"
@@ -214,28 +206,22 @@ def _eigen(grams: np.ndarray, n: int, tp: int, k: int | None = None):
     return eigvals, eigvecs
 
 
-@functools.cache
-def _start(m: int, k: int) -> np.ndarray:
-    """The fixed m x k start of orthogonal iteration: Gaussian, so that no eigenvector
-    is orthogonal to it but by chance (an all-ones start misses loadings summing to 0)."""
-    start = np.random.default_rng(0).standard_normal((m, k))
-    start.flags.writeable = False
-    return start
-
-
-def _eigh(grams: np.ndarray):
-    """`np.linalg.eigh` over the stack grams, ascending; a failure, or a value that is
-    not finite, raises NumericalError."""
+def _eigh(grams: np.ndarray, k: int | None = None, vectors: bool = True):
+    """The k largest eigenvalues of each Gram matrix in the stack grams (all of them
+    when k is None), descending, and their unit vectors (None when not vectors), from
+    `np.linalg.eigh`, or `np.linalg.eigvalsh` for the values alone. A failure, or a
+    value that is not finite, raises NumericalError."""
     m = grams.shape[-1]
     failure = NumericalError(f"factor fit: the eigensolver failed on the {m} x {m} "
                              "second-moment matrix")
     try:
-        eigvals, eigvecs = np.linalg.eigh(grams)
+        eigvals, eigvecs = np.linalg.eigh(grams) if vectors else (np.linalg.eigvalsh(grams), None)
     except np.linalg.LinAlgError as exc:
         raise failure from exc
     if not np.isfinite(eigvals).all():
         raise failure
-    return eigvals, eigvecs
+    top = slice(None, None if k is None else -k - 1, -1)
+    return eigvals[..., top], None if eigvecs is None else eigvecs[..., top]
 
 
 def _fit_arrays(x: np.ndarray, vecs: np.ndarray) -> tuple:

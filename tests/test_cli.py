@@ -3,6 +3,7 @@
 import argparse
 import codecs
 import csv
+import importlib.metadata
 import io
 import json
 import os
@@ -586,6 +587,21 @@ class TestMcCommand:
         assert "h = -2100.0 makes the design explosive: need h >= -333.333" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_manifest_without_scipy_metadata(self, tmp_path, monkeypatch):
+        # The version is read before the run: without scipy's metadata the run still
+        # writes its rows and a manifest that records no scipy version.
+        def missing(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"sizes": [[10, 25]], "h_values": [0.0], "k": 0,
+                                   "replications": 2, "tests": ["p_b"]}))
+        out = tmp_path / "mc.csv"
+        assert main(["mc", str(cfg), str(out), "--workers", "1"]) == 0
+        with open(f"{out}.manifest.json") as fh:
+            assert json.load(fh)["versions"]["scipy"] is None
 
     def test_smoke_grid(self, tmp_path):
         cfg = tmp_path / "mc.json"

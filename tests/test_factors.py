@@ -183,9 +183,9 @@ class TestRankGuard:
 
 
 class TestEigensolverFailure:
-    # The ids name the problem each call poses: the fit's leading eigenpairs (a noise
-    # panel is too flat for orthogonal iteration, so they come from np.linalg.eigh)
-    # and selection's eigenvalues (read from one np.linalg.eigh).
+    # The ids name the numpy solver each call reaches: the fit's leading eigenpair (a
+    # noise panel is too flat for power iteration, so it comes from np.linalg.eigh)
+    # and selection's eigenvalues (np.linalg.eigvalsh).
     @pytest.mark.parametrize("problem, call", [
         ("eigh", lambda d: estimate_factors(d, 1)),
         ("eigvalsh", lambda d: select_num_factors(d, 2)),
@@ -198,7 +198,7 @@ class TestEigensolverFailure:
             requested.append(a.shape)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, problem, failing)
         m = min(n, 20)
         with pytest.raises(NumericalError) as caught:
             call(_random_diff(n, 20))
@@ -210,10 +210,12 @@ class TestEigensolverFailure:
     def test_non_finite_gram_is_a_numerical_error(self):
         # A Gram matrix that overflows: eigh returns nan rather than raising.
         gram = np.full((1, 5, 5), np.inf)
-        for k in (None, 1, 2):
+        solves = [lambda: factors._eigh(gram, vectors=False)]
+        solves += [lambda k=k: _eigen(gram, 5, 30, k) for k in (None, 1, 2)]
+        for solve in solves:
             with pytest.raises(NumericalError, match="factor fit: the eigensolver failed "
                                                      "on the 5 x 5 second-moment matrix"):
-                _eigen(gram, 5, 30, k)
+                solve()
 
 
 def _spectral_gram(rng, m, spectrum):
@@ -223,16 +225,17 @@ def _spectral_gram(rng, m, spectrum):
     return (gram + gram.T) / 2.0
 
 
-class TestOrthogonalIteration:
-    """The k leading eigenpairs with k known against numpy's full eigh."""
+class TestPowerIteration:
+    """The k leading eigenpairs with k known against numpy's full eigh: power
+    iteration at k = 1, eigh itself for any other k."""
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(2, 40), data=st.data())
     def test_matches_eigh_on_low_rank_grams(self, m, data):
         k = data.draw(st.integers(1, min(4, m - 1)))
         rank = data.draw(st.integers(k + 1, m))
-        # A clear gap at k converges in the fixed steps; a near-degenerate one,
-        # lambda_{k+1} within 0.1 % to 10 % of lambda_k, must go to the fallback.
+        # A clear gap at k = 1 converges in the fixed steps; a near-degenerate one,
+        # lambda_2 within 0.1 % to 10 % of lambda_1, must go to the fallback.
         near = data.draw(st.booleans())
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         lead = np.cumprod(np.r_[1.0, rng.uniform(0.4, 0.7, size=k - 1)])
@@ -245,7 +248,7 @@ class TestOrthogonalIteration:
         want_vals, want_vecs = want_vals[:-k - 1:-1], want_vecs[:, :-k - 1:-1]
         with mock.patch.object(factors, "_eigh", wraps=factors._eigh) as full:
             vals, vecs = _eigen(gram, m, m, k)
-        assert full.called == near
+        assert full.called == (near or k > 1)
         assert np.all(np.abs(vals - want_vals) <= 1e-12 * want_vals)
         signs = np.sign(np.sum(vecs * want_vecs, axis=0))
         assert np.abs(vecs * signs - want_vecs).max() <= 1e-10
