@@ -169,7 +169,7 @@ def _eigen(grams: np.ndarray, n: int, tp: int, k: int | None = None):
     (..., m, k) unit vectors. A k above a panel's rank raises NumericalError.
 
     The pairs come from one batched `np.linalg.eigh`, but for k = 1, where power
-    iteration (Golub and Van Loan, Matrix Computations, 4th ed., 7.3.1) gives the
+    iteration (Golub and Van Loan, Matrix Computations, 4th ed., 8.2.1) gives the
     leading pair: _STEPS products with each Gram from one fixed start, a Rayleigh
     quotient, and `np.linalg.eigh` for the panels whose pair misses
     |G v - lambda v| <= m eps lambda. Each Gram is first scaled by the power of two
