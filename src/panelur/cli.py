@@ -438,11 +438,6 @@ def _cmd_mc(args) -> int:
         exp = _from_json(Experiment, json.load(fh), "experiment config", {"lrv_cfg": "lrv"})
     if args.seed is not None:
         exp = replace(exp, base_seed=args.seed)
-    from importlib.metadata import PackageNotFoundError, version  # slow at module level
-    try:  # read before the run, so that a finished run always writes its manifest
-        scipy_version = version("scipy")
-    except PackageNotFoundError:  # the analysis runs without scipy
-        scipy_version = None
     # One thread from here to exit: `run` would otherwise restore the default
     # count after its pool forks, restarting OpenBLAS threads that busy-wait
     # while this process writes its files and exits.
@@ -454,7 +449,7 @@ def _cmd_mc(args) -> int:
     manifest = {
         "experiment": asdict(exp),
         "versions": {"panelur": __version__, "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy_version},
+                     "numpy": np.__version__},
         **plan_summary(exp, args.workers),
         "blas_threads_per_process": blas_threads(),
         "wall_s": wall_s,

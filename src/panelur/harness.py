@@ -21,15 +21,16 @@ A batch is one R x n x T levels array from simulation to analysis. One
 `dgp.simulate_many` call (one stacked set of recursions) writes it, and one
 `statistics.analyze_many` call analyzes it: the differencing, the factor fit
 and the six statistics run over the whole stack (per factor count when k is
-selected), with one LRV pass over all its residuals; only the factor selection's
-IC_p2 loop runs replication by replication. Every step
-is row-local, so a replication's result is bit-identical to running it
-alone: the batches, and the worker count that sets the tasks, change no
-result. Errors stay per replication: a batch that raises a DataError,
-NumericalError or LinAlgError is rerun one replication at a time, so a
-failing replication counts as one error in every stage, simulation
-included. Any other exception is a bug and stops the run: the tasks not yet
-started are cancelled, and the error is raised at once.
+selected), with one LRV pass over all its residuals; only the factor
+selection's IC_p2 loop runs replication by replication. Its R x 6 statistics
+are compared with Phi^{-1}(alpha) in one step, and no per-replication result
+object is built. Every step is row-local, so a replication's result is
+bit-identical to running it alone: the batches, and the worker count that
+sets the tasks, change no result. Errors stay per replication: a batch that
+raises a DataError, NumericalError or LinAlgError is rerun one replication
+at a time, so a failing replication counts as one error in every stage,
+simulation included. Any other exception is a bug and stops the run: the
+tasks not yet started are cancelled, and the error is raised at once.
 
 The pool workers persist across `run` calls: the first pooled run forks them,
 later runs at the same worker count reuse them, a run at another count
@@ -87,7 +88,7 @@ from .asymptotics import local_power_mp_bn, power_envelope
 from .dgp import DgpConfig, InnovationSpec, _check_integers, simulate_many
 from .errors import DataError
 from .lrv import LrvConfig
-from .statistics import ANALYSIS_ERRORS, TEST_NAMES, analyze_many, check_alpha
+from .statistics import ANALYSIS_ERRORS, TEST_NAMES, _ndtri, analyze_many, check_alpha
 
 __all__ = ["Experiment", "ResultRow", "run", "power_figure_data", "replication_seed",
            "plan_summary", "WORKERS_ENV_VAR", "RESULT_COLUMNS"]
@@ -226,14 +227,16 @@ def _replications(exp: Experiment, cell: tuple, reps) -> list:
     """
     try:
         levels = simulate_many([_cell_config(exp, cell, rep) for rep in reps])
-        results = analyze_many(levels, unit_ids=range(levels.shape[1]),
-                               k=exp.k if exp.k_known else None, k_max=exp.k_max,
-                               lrv_cfg=exp.lrv_cfg, alpha=exp.alpha)
+        batch = analyze_many(levels, unit_ids=range(levels.shape[1]),
+                             k=exp.k if exp.k_known else None, k_max=exp.k_max,
+                             lrv_cfg=exp.lrv_cfg)
     except ANALYSIS_ERRORS as exc:
         if len(reps) == 1:
             return [exc]
         return [flags for rep in reps for flags in _replications(exp, cell, [rep])]
-    return [{name: result.outcomes[name].reject for name in exp.tests} for result in results]
+    columns = [TEST_NAMES.index(name) for name in exp.tests]
+    rejects = batch.statistics[:, columns] <= _ndtri(exp.alpha)
+    return [dict(zip(exp.tests, flags)) for flags in rejects.tolist()]
 
 
 def run_single(exp: Experiment, cell: tuple, rep: int) -> dict[str, bool]:

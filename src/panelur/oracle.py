@@ -89,9 +89,9 @@ class _ScaledCellSolver:
     """Exact central sequences for a cell whose unit covariances share one base.
 
     The simulated designs use Sigma_eta_i = c_i * Sigma0, which lets the
-    exact full-covariance solve run through one Cholesky factorization of
-    Sigma0 plus a rank-K Woodbury step whose KT x KT inner matrix is also
-    factored once per cell.
+    exact full-covariance solve run through one inverse of Sigma0 plus a
+    rank-K Woodbury step whose KT x KT inner matrix is also inverted once per
+    cell, so that each solve is a matrix product.
     """
 
     def __init__(self, sigma0: np.ndarray, scales: np.ndarray,
@@ -100,17 +100,16 @@ class _ScaledCellSolver:
         self.scales = scales
         self.loadings = loadings
         self.k = loadings.shape[1]
-        # scipy is imported here, for the report alone: the analysis runs without it.
-        from scipy.linalg import cho_factor, cho_solve
-        self.solve0 = partial(cho_solve, cho_factor(sigma0, lower=True))
+        inv0 = np.linalg.inv(sigma0)
+        inv0[np.abs(inv0) < np.finfo(float).tiny] = 0.0  # products with subnormals are slow
+        self.solve0 = partial(np.matmul, inv0)
         self.lrv_eta = scales * _approx_lrv(sigma0)
         self.oslrv_eta = scales * _approx_oslrv(sigma0)
         self.lrv_f = np.full(self.k, _approx_lrv(sigma_f))
-        inv0 = self.solve0(np.eye(self.t))
         inv_f = np.linalg.inv(sigma_f)
         a = (loadings.T / scales) @ loadings  # K x K of sum_i l_ki l_li / c_i
         inner = np.kron(np.eye(self.k), inv_f) + np.kron(a, inv0)
-        self.solve_inner = partial(cho_solve, cho_factor(inner, lower=True))
+        self.solve_inner = partial(np.matmul, np.linalg.inv(inner))
 
     def _d_inv(self, x_mat: np.ndarray) -> np.ndarray:
         """blockdiag(c_i Sigma0)^{-1} applied to a T x n arrangement."""

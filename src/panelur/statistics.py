@@ -5,10 +5,7 @@ their time dimension, exclude the first difference column from the pooled
 index sets, and reject in the left tail of the standard normal. Those three
 conventions are applied consistently across the optimal statistics and the
 pooled-autoregression tests, which is what makes the homogeneous-variance
-reduction of the optimal test to P_b exact in finite samples. `analyze`
-runs the whole recipe on a level panel and returns all six outcomes;
-`analyze_many` runs it over a batch of panels, and `analyze` is its
-one-panel case.
+reduction of the optimal test to P_b exact in finite samples.
 
 Every test removes the factor space with one operator, `PrecisionMatrix`:
 Omega^{-1} - W (P + L'W)^{-1} W' with W = Omega^{-1} L. The optimal tests
@@ -24,14 +21,16 @@ panels of one shape (R x n x T) is one set of batched matmuls, row dots and
 per-panel reductions, and every step is per panel, so a panel's statistics
 have the same bits in any stack. A batch is one R x n x T levels array:
 `analyze_many` differences and fits it as one stack (with batched numpy
-eigensolves, see `factors`), makes one LRV pass over all its residual rows,
-and runs the six statistics once per selected factor count. A faulty panel
-makes the whole batch raise; an LRV error numbers units across the stacked
-rows of the batch. `analyze_many` runs at one thread per OpenBLAS and
-restores the caller's counts (see `_blas`). The normal distribution function
-and quantile come from the standard library (`math.erfc`,
-`statistics.NormalDist`), so the analysis imports no scipy; `asymptotics`
-shares them.
+eigensolves, see `factors`), makes one LRV pass over its residual rows in
+batch order, and runs the six statistics once per selected factor count. It
+returns one record of arrays with leading axis R, `_Batch`. `analyze` runs a
+one-panel batch, and `_Batch.analysis` builds that panel's Analysis and its
+outcomes: no other code builds them. A faulty panel makes the whole batch
+raise; an LRV error numbers the units of the batch in batch order.
+`analyze_many` runs at one thread per OpenBLAS and restores the caller's
+counts (see `_blas`). The normal distribution function and quantile come
+from the standard library (`math.erfc`, `statistics.NormalDist`), so panelur
+imports no scipy; `asymptotics` shares them.
 """
 
 from __future__ import annotations
@@ -166,20 +165,15 @@ def check_alpha(alpha: float) -> None:
         raise DataError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _outcomes(names: tuple, statistics, alpha: float):
-    """TestOutcomes of statistics laid out (..., len(names)).
-
-    One panel's statistics give a tuple of outcomes in names order; a stack's
-    give a list of such tuples, one per panel. _ndtr runs once over all of them.
-    """
+def _outcomes(names: tuple, statistics, alpha: float) -> tuple[TestOutcome, ...]:
+    """One panel's TestOutcomes in names order, from its len(names) statistics."""
     check_alpha(alpha)
     stats = np.asarray(statistics, dtype=float)
-    rows = stats.reshape(-1, len(names))
-    per_panel = [tuple(TestOutcome(name=name, statistic=s, p_value=p, reject=r, alpha=alpha)
-                       for name, s, p, r in zip(names, *row))
-                 for row in zip(rows.tolist(), _ndtr(rows).tolist(),
-                                (rows <= _ndtri(alpha)).tolist())]
-    return per_panel[0] if stats.ndim == 1 else per_panel
+    if stats.shape != (len(names),):
+        raise DimensionError(f"need one panel's {len(names)} statistics, got shape {stats.shape}")
+    return tuple(TestOutcome(name=name, statistic=s, p_value=p, reject=r, alpha=alpha)
+                 for name, s, p, r in zip(names, stats.tolist(), _ndtr(stats).tolist(),
+                                          (stats <= _ndtri(alpha)).tolist()))
 
 
 def precision_matrix(lrvs: LrvSet, loadings: np.ndarray | None) -> PrecisionMatrix:
@@ -298,9 +292,7 @@ def mp_tests(p: Panel | np.ndarray, loadings: np.ndarray | None, lrvs: LrvSet,
     """MP tests: pooled autoregression on levels projected off the factor space.
 
     The level panel is used as given (zero pre-sample values); the time
-    dimension in the bias correction and prefactor is T' = T - 1. For levels
-    stacked along leading axes (R x n x T), with loadings and lrvs stacked
-    alike, returns a list of (t_a, t_b) per panel.
+    dimension in the bias correction and prefactor is T' = T - 1.
     """
     return _outcomes(("t_a", "t_b"), _mp(getattr(p, "values", p), loadings, lrvs), alpha)
 
@@ -319,6 +311,32 @@ class Analysis:
     outcomes: dict[str, TestOutcome]
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """`analyze_many`'s result for R panels: k (R,), statistics (R, 6) in TEST_NAMES
+    order, ump (3 x R: delta_hat, j_hat, correction), lrvs with (R, n) arrays, and
+    fits as `factors.fit_stack` returns them, by factor count, residuals read-only."""
+
+    k: np.ndarray
+    statistics: np.ndarray
+    ump: np.ndarray
+    lrvs: LrvSet
+    fits: dict
+
+    def analysis(self, r: int, alpha: float) -> Analysis:
+        """Panel r's Analysis, with its outcomes at level alpha; its arrays are views."""
+        k = int(self.k[r])
+        rows, loadings_bar, loadings_hat, factor_diffs, resid = self.fits[k]
+        i = rows.index(r)
+        fit = FactorFit(loadings_bar=loadings_bar[i], loadings_hat=loadings_hat[i],
+                        factor_diffs=factor_diffs[i], residuals=_diff_view(resid[i]), k=k)
+        outcomes = _outcomes(TEST_NAMES, self.statistics[r], alpha)
+        return Analysis(k=k, fit=fit,
+                        lrvs=LrvSet(self.lrvs.omega2[r], self.lrvs.delta[r], self.lrvs.gamma0[r]),
+                        ump=UmpIntermediates(*map(float, self.ump[:, r])),
+                        outcomes=dict(zip(TEST_NAMES, outcomes)))
+
+
 def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
             lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> Analysis:
     """Difference, fit factors, estimate LRVs and compute the six tests.
@@ -332,8 +350,9 @@ def analyze(panel: Panel, k: int | None = None, k_max: int = 6,
     finite, such as one so large in scale that its pooled sums overflow. An
     alpha outside (0, 1) is rejected before any work.
     """
-    return analyze_many(panel.values[None], panel.unit_ids, k=k, k_max=k_max,
-                        lrv_cfg=lrv_cfg, alpha=alpha)[0]
+    check_alpha(alpha)
+    batch = analyze_many(panel.values[None], panel.unit_ids, k=k, k_max=k_max, lrv_cfg=lrv_cfg)
+    return batch.analysis(0, alpha)
 
 
 # What a degenerate panel raises; anything else is a bug.
@@ -341,84 +360,67 @@ ANALYSIS_ERRORS = (DataError, NumericalError, np.linalg.LinAlgError)
 
 
 def analyze_many(levels: np.ndarray, unit_ids, k: int | None = None, k_max: int = 6,
-                 lrv_cfg: LrvConfig = LrvConfig(), alpha: float = 0.05) -> list[Analysis]:
+                 lrv_cfg: LrvConfig = LrvConfig()) -> _Batch:
     """`analyze` over a batch of R panels of one shape, levels R x n x T.
 
-    Entry i is panel i's Analysis; unit_ids label the n units in error
-    messages. The batch is differenced and fitted as one stack
-    (`factors.fit_stack`) and makes one `estimate_lrv_set` call over all its
-    residual rows; the panels of one factor count share one pass over the
-    six statistics. Every step is per panel (see `lrv`), so each panel's
-    Analysis is bit-identical to its own `analyze`. If a panel is faulty,
-    the call raises the DataError, NumericalError or LinAlgError its own
-    `analyze` raises, except that an LRV error numbers units across the
-    stacked rows of the batch.
+    Returns a `_Batch` whose row r is panel r; unit_ids label the n units in
+    error messages. The batch is fitted as one stack (`factors.fit_stack`) and
+    makes one `estimate_lrv_set` call over its residual rows in batch order;
+    the panels of one factor count share one pass over the six statistics.
+    Every step is per panel (see `lrv`), so `_Batch.analysis(r, alpha)` is
+    bit-identical to panel r's own `analyze`. If a panel is faulty, the call
+    raises the DataError, NumericalError or LinAlgError its own `analyze`
+    raises, except that an LRV error numbers the units of the batch in batch
+    order: unit u of panel r is number r n + u.
     """
-    check_alpha(alpha)
     n, t = levels.shape[1:]
     diffs = np.diff(levels, axis=-1)
     if not np.isfinite(diffs).all():  # every level enters a difference
         raise DataError("difference values contains non-finite entries")
     constant = ~diffs.any(axis=-1)
     if constant.any():
-        r = np.flatnonzero(constant.any(axis=-1))[0]
-        raise DataError(f"constant unit(s) {_units(unit_ids, constant[r])}: all first "
+        raise DataError(f"constant unit(s) {_units(unit_ids, constant)}: all first "
                         "differences are zero, so the long-run variance is zero")
-    results = [None] * len(levels)
     with _one_blas_thread():
         fits = fit_stack(diffs, k, k_bound(n, t - 1, k_max))
-        # The stacked residual rows are a temporary, freed before the statistics run.
-        lrvs = estimate_lrv_set(
-            np.concatenate([fit[4] for fit in fits.values()]).reshape(-1, t - 1), lrv_cfg)
-        per_panel = [a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)]
-        top = 0
-        for kr, (rows, *fit) in fits.items():
-            fit[3].flags.writeable = False   # each panel's FactorFit holds a view
-            part = LrvSet(*(a[top:top + len(rows)] for a in per_panel))
-            top += len(rows)
-            analyses = _tests(unit_ids, levels[rows], diffs[rows], kr, fit, part, alpha)
-            for r, analysis in zip(rows, analyses):
-                results[r] = analysis
-    return results
+        # The residuals in batch order are a temporary, freed before the statistics run.
+        ordered = np.empty_like(diffs)
+        for rows, *_, resid in fits.values():
+            ordered[rows] = resid
+        lrvs = estimate_lrv_set(ordered.reshape(-1, t - 1), lrv_cfg)
+        del ordered
+        lrvs = LrvSet(*(a.reshape(-1, n) for a in (lrvs.omega2, lrvs.delta, lrvs.gamma0)))
+        zero = lrvs.gamma0 == 0.0
+        if zero.any():
+            raise NumericalError(f"LRV: unit(s) {_units(unit_ids, zero)} have all-zero factor "
+                                 "residuals, so gamma(0) and the long-run variance are zero")
+        factor_counts = np.empty(len(levels), dtype=int)
+        stats = np.empty((len(levels), len(TEST_NAMES)))
+        ump = np.empty((3, len(levels)))
+        for kr, (rows, _, loadings_hat, _, resid) in fits.items():
+            resid.flags.writeable = False   # each panel's FactorFit holds a view
+            part = LrvSet(lrvs.omega2[rows], lrvs.delta[rows], lrvs.gamma0[rows])
+            inter = ump_statistics(diffs[rows], precision_matrix(part, loadings_hat), part)
+            group = np.concatenate([np.stack([_t_ump(inter), _t_ump_emp(inter)], axis=-1),
+                                    _bn_from_residuals(resid, part),
+                                    _mp(levels[rows], loadings_hat, part)], axis=-1)
+            finite = np.isfinite(group)
+            if not finite.all():
+                r, c = np.argwhere(~finite)[0]
+                raise NumericalError(f"{TEST_NAMES[c]} statistic is {group[r, c]}, not finite; "
+                                     "rescale the panel if its values are very large or very small")
+            factor_counts[rows] = kr
+            stats[rows] = group
+            ump[:, rows] = inter.delta_hat, inter.j_hat, inter.correction
+    return _Batch(k=factor_counts, statistics=stats, ump=ump, lrvs=lrvs, fits=fits)
 
 
 def _units(unit_ids, mask: np.ndarray) -> str:
-    """The ids of the units where mask is set, for an error message."""
-    return ", ".join(repr(unit_ids[u]) for u in np.flatnonzero(mask))
+    """For an error message: the ids of the units set in the first row of mask (R x n) with any."""
+    first = mask[np.flatnonzero(mask.any(axis=-1))[0]]
+    return ", ".join(repr(unit_ids[u]) for u in np.flatnonzero(first))
 
 
 def k_bound(n: int, tp: int, k_max: int) -> int:
     """The largest factor count `analyze` selects on n units with T' = T - 1 differences."""
     return min(k_max, min(n, tp) // 2)
-
-
-def _tests(unit_ids, levels: np.ndarray, diffs: np.ndarray, k: int, fit: list,
-           lrvs: LrvSet, alpha: float) -> list[Analysis]:
-    """Each stacked panel's Analysis, from the panels of one factor count k: their
-    levels, differences, `fit_stack` arrays and LRVs."""
-    loadings_bar, loadings_hat, factor_diffs, resid = fit
-    zero = lrvs.gamma0 == 0.0
-    if zero.any():
-        r = np.flatnonzero(zero.any(axis=-1))[0]
-        raise NumericalError(f"LRV: unit(s) {_units(unit_ids, zero[r])} have all-zero "
-                             "factor residuals, so gamma(0) and the long-run variance are zero")
-    ump = ump_statistics(diffs, precision_matrix(lrvs, loadings_hat), lrvs)
-    stats = np.concatenate([np.stack([_t_ump(ump), _t_ump_emp(ump)], axis=-1),
-                            _bn_from_residuals(resid, lrvs),
-                            _mp(levels, loadings_hat, lrvs)], axis=-1)
-    finite = np.isfinite(stats)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise NumericalError(f"{TEST_NAMES[c]} statistic is {stats[r, c]}, not finite; "
-                             "rescale the panel if its values are very large or very small")
-    outcomes = _outcomes(TEST_NAMES, stats, alpha)
-    return [Analysis(k=k,
-                     fit=FactorFit(loadings_bar=loadings_bar[r], loadings_hat=loadings_hat[r],
-                                   factor_diffs=factor_diffs[r],
-                                   residuals=_diff_view(resid[r]), k=k),
-                     lrvs=LrvSet(lrvs.omega2[r], lrvs.delta[r], lrvs.gamma0[r]),
-                     ump=UmpIntermediates(delta_hat=float(ump.delta_hat[r]),
-                                          j_hat=float(ump.j_hat[r]),
-                                          correction=float(ump.correction[r])),
-                     outcomes=dict(zip(TEST_NAMES, outcomes[r])))
-            for r in range(len(levels))]

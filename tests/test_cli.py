@@ -3,7 +3,6 @@
 import argparse
 import codecs
 import csv
-import importlib.metadata
 import io
 import json
 import os
@@ -588,21 +587,6 @@ class TestMcCommand:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg]
 
-    def test_manifest_without_scipy_metadata(self, tmp_path, monkeypatch):
-        # The version is read before the run: without scipy's metadata the run still
-        # writes its rows and a manifest that records no scipy version.
-        def missing(name):
-            raise importlib.metadata.PackageNotFoundError(name)
-
-        monkeypatch.setattr(importlib.metadata, "version", missing)
-        cfg = tmp_path / "mc.json"
-        cfg.write_text(json.dumps({"sizes": [[10, 25]], "h_values": [0.0], "k": 0,
-                                   "replications": 2, "tests": ["p_b"]}))
-        out = tmp_path / "mc.csv"
-        assert main(["mc", str(cfg), str(out), "--workers", "1"]) == 0
-        with open(f"{out}.manifest.json") as fh:
-            assert json.load(fh)["versions"]["scipy"] is None
-
     def test_smoke_grid(self, tmp_path):
         cfg = tmp_path / "mc.json"
         cfg.write_text(json.dumps({
@@ -629,7 +613,7 @@ class TestMcCommand:
         assert manifest["experiment"]["base_seed"] == 3
         assert manifest["experiment"]["replications"] == 10
         assert manifest["experiment"]["lrv_cfg"]["prewhiten"] is False
-        assert set(manifest["versions"]) == {"panelur", "python", "numpy", "scipy"}
+        assert set(manifest["versions"]) == {"panelur", "python", "numpy"}
         assert manifest["workers"] == 1
         assert manifest["blas_threads_per_process"] == blas_threads()
         assert manifest["wall_s"] > 0.0

@@ -791,13 +791,39 @@ class TestKeptPool:
 
 class TestRunSingle:
     def test_matches_analyze(self):
-        exp = _experiment(h_values=(-5.0,), k_known=False, tests=("t_ump_emp", "t_b"))
+        # The batch selects k = 1, 2, 3, 4 and 6 in scattered rows, and its tests are
+        # not in TEST_NAMES order; at both levels some flags are set and some are not.
+        for alpha in (0.01, 0.10):
+            exp = _experiment(h_values=(-5.0,), k_known=False, alpha=alpha,
+                              tests=("t_b", "p_a", "t_ump_emp", "t_ump"))
+            cell = exp.cells()[0]
+            batch = harness._replications(exp, cell, range(8))
+            for rep in range(8):
+                sim = simulate(_cell_config(exp, cell, rep))
+                result = analyze(sim.panel, k_max=exp.k_max, lrv_cfg=exp.lrv_cfg, alpha=alpha)
+                flags = {name: result.outcomes[name].reject for name in exp.tests}
+                assert batch[rep] == flags and list(batch[rep]) == list(exp.tests)
+                if rep < 3:
+                    assert run_single(exp, cell, rep) == flags
+            assert {flag for flags in batch for flag in flags.values()} == {False, True}
+
+    def test_batch_builds_no_outcome(self, monkeypatch):
+        # A batch's flags come from its array of statistics: no replication's
+        # Analysis or TestOutcomes are built.
+        calls = []
+        original = statistics._outcomes
+
+        def counting(names, stats, alpha):
+            calls.append(names)
+            return original(names, stats, alpha)
+
+        monkeypatch.setattr(statistics, "_outcomes", counting)
+        exp = _experiment(sizes=((50, 100),), replications=13, tests=TEST_NAMES)
         cell = exp.cells()[0]
-        for rep in range(3):
-            sim = simulate(_cell_config(exp, cell, rep))
-            result = analyze(sim.panel, k_max=exp.k_max, lrv_cfg=exp.lrv_cfg)
-            assert run_single(exp, cell, rep) == {
-                name: result.outcomes[name].reject for name in exp.tests}
+        harness._replications(exp, cell, range(13))
+        assert calls == []
+        analyze(simulate(_cell_config(exp, cell, 0)).panel, k=1)   # the counter sees analyze's
+        assert calls == [TEST_NAMES]
 
     def test_one_ump_statistics_call(self, monkeypatch):
         # The stacked kernel computes one central sequence per replication: one
@@ -853,8 +879,7 @@ def test_replication_does_not_import_scipy_signal(tmp_path):
     # Importing scipy.signal after panelur adds about 43 MiB of resident
     # memory and over half a second to every process (2 vCPU x86_64 VM,
     # scipy 1.17); the recursions stay in numpy. scipy.linalg and scipy.special
-    # add 26 MiB and 0.2-0.3 s: the analysis paths import neither, and only
-    # the LAN report (`panelur selftest`) loads scipy.
+    # add 26 MiB and 0.2-0.3 s: panelur imports none of them.
     csv_path = tmp_path / "panel.csv"
     write_panel_csv(csv_path, simulate(DgpConfig(framework="PANIC", n=12, T=40, K=1,
                                                  seed=3)).panel)

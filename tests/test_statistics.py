@@ -242,6 +242,19 @@ class TestUmpOutcomes:
         with pytest.raises(NumericalError):
             t_ump_emp(ump_statistics(d, self.psi, _lrvs([1.0])))
 
+    def test_stacked_input_is_a_dimension_error(self):
+        # The one-panel tests take one panel's statistics; a stack of three is refused.
+        rng = np.random.default_rng(4)
+        levels = rng.normal(size=(3, 4, 12)).cumsum(axis=-1)
+        lrvs = _lrvs(rng.uniform(0.5, 2.0, size=(3, 4)))
+        lam = rng.normal(size=(3, 4, 1))
+        inter = ump_statistics(np.diff(levels, axis=-1), precision_matrix(lrvs, lam), lrvs)
+        for test in (t_ump, t_ump_emp):
+            with pytest.raises(DimensionError, match=r"1 statistics, got shape \(1, 3\)"):
+                test(inter)
+        with pytest.raises(DimensionError, match=r"2 statistics, got shape \(3, 2\)"):
+            mp_tests(levels, lam, lrvs)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_outcome_semantics(self, alpha):
         from scipy.special import ndtr, ndtri
@@ -448,8 +461,9 @@ def _analyze_by_shape(panels, **kwargs):
     results = [None] * len(panels)
     for index in shapes.values():
         stack = [panels[i] for i in index]
-        for i, got in zip(index, analyze_many(_stack(stack), stack[0].unit_ids, **kwargs)):
-            results[i] = got
+        batch = analyze_many(_stack(stack), stack[0].unit_ids, **kwargs)
+        for r, i in enumerate(index):
+            results[i] = batch.analysis(r, 0.05)
     return results
 
 
